@@ -8,6 +8,7 @@ eigenvalues are the optimal frame bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -101,6 +102,18 @@ class WeightedSubspaceFamily:
     def weights(self) -> tuple[float, ...]:
         return tuple(w for _, w in self.members)
 
+    @functools.cached_property
+    def fusion_operator(self) -> np.ndarray:
+        """sum_i v_i^2 P_{W_i}, built once per family and read-only."""
+        n = self.ambient_dim
+        op = np.zeros((n, n), dtype=np.complex128)
+        for s, w in self.members:
+            if s.dim:
+                op += (w * w) * (s.basis @ s.basis.conj().T)
+        op = hermitian_part(op)
+        op.setflags(write=False)
+        return op
+
 
 @dataclass(frozen=True)
 class BlockVector:
@@ -168,13 +181,9 @@ def frame_bounds(frame: VectorFrame) -> FrameBounds:
 
 
 def fusion_operator(family: WeightedSubspaceFamily) -> np.ndarray:
-    """sum_i v_i^2 P_{W_i} as a Hermitian PSD matrix."""
-    n = family.ambient_dim
-    op = np.zeros((n, n), dtype=np.complex128)
-    for s, w in family.members:
-        if s.dim:
-            op += (w * w) * (s.basis @ s.basis.conj().T)
-    return hermitian_part(op)
+    """sum_i v_i^2 P_{W_i} as a read-only Hermitian PSD matrix, cached on
+    the family."""
+    return family.fusion_operator
 
 
 def fusion_bounds(family: WeightedSubspaceFamily) -> FrameBounds:

@@ -88,19 +88,23 @@ class EigenResult:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(m, tol: float = 1e-10) -> EigenResult:
+def hermitian_eig(m, tol: float = 1e-10, *, name: str = "matrix") -> EigenResult:
     """Eigendecomposition of a Hermitian matrix.
 
     Raises NotSquare on a rectangular input and NotHermitian when the
-    symmetry residual exceeds ``tol * ||M||``.
+    symmetry residual exceeds ``tol * ||M||``; ``name`` labels the matrix in
+    both messages.  An exactly Hermitian input has residual zero, so its two
+    norms are skipped.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
-        raise NotSquare(f"expected square matrix, got {m.shape}")
-    scale = operator_norm(m)
-    if operator_norm(m - m.conj().T) > tol * scale:
-        raise NotHermitian("symmetry residual exceeds tolerance")
-    w, v = np.linalg.eigh(hermitian_part(m))
+        raise NotSquare(f"{name} must be square, got {m.shape}")
+    adjoint = m.conj().T
+    if not np.array_equal(m, adjoint):
+        if operator_norm(m - adjoint) > tol * operator_norm(m):
+            raise NotHermitian(f"{name} is not Hermitian within tolerance")
+        m = (m + adjoint) / 2.0
+    w, v = np.linalg.eigh(m)
     return EigenResult(w, v)
 
 
@@ -286,18 +290,11 @@ def douglas_check(s, t, tol: float = 1e-10) -> DouglasReport:
     return DouglasReport(True, alpha, factor, residual)
 
 
-def _checked_psd_eig(m, name: str) -> tuple[np.ndarray, np.ndarray]:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise NotSquare(f"{name} must be square, got {m.shape}")
-    scale = operator_norm(m)
-    if operator_norm(m - m.conj().T) > 1e-10 * scale:
-        raise NotHermitian(f"{name} is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(hermitian_part(m))
+def _require_psd(w: np.ndarray, name: str) -> None:
+    """Raise NotPSD unless the ascending spectrum ``w`` is PSD within 1e-10."""
     bound = max(abs(w[0]), abs(w[-1])) if w.size else 0.0
     if w.size and w[0] < -1e-10 * bound:
         raise NotPSD(f"{name} has eigenvalue {w[0]:.3e}")
-    return w, v
 
 
 def psd_scale_bisection(sw, g, *, slack_scale: float = 1e-13,
@@ -337,23 +334,44 @@ def psd_scale_bisection(sw, g, *, slack_scale: float = 1e-13,
     return lo
 
 
-def _values_agree(x: float, y: float, rel: float) -> bool:
-    if math.isinf(x) or math.isinf(y):
-        return math.isinf(x) and math.isinf(y)
-    return abs(x - y) <= rel * max(1.0, abs(x), abs(y))
+def _certify_psd_scale(sw: np.ndarray, g: np.ndarray, a: float,
+                       sw_norm: float) -> None:
+    """Raise OracleMismatch unless ``a`` is the largest scale with Sw - a G
+    PSD, to 1e-8 relative (floored at one), for Hermitian Sw and PSD G.
+
+    The test ok(t) := lambda_min(Sw - t G) >= -slack, with the slack of
+    psd_scale_bisection, is monotone in t because G is PSD.  So ok(a - d)
+    together with not ok(a + d), d = 1e-8 max(1, a), pins the threshold to
+    within d of ``a``: the question the bisection answers, in two
+    eigensolves.  The lower test is skipped when a - d <= 0, since the
+    threshold is never below 0.
+    """
+    slack = 1e-13 * max(1.0, sw_norm)
+    delta = 1e-8 * max(1.0, a)
+
+    def ok(t: float) -> bool:
+        return float(np.linalg.eigvalsh(sw - t * g)[0]) >= -slack
+
+    if ok(a + delta) or (a - delta > 0.0 and not ok(a - delta)):
+        raise OracleMismatch(
+            f"closed form {a:.12e} is not the PSD threshold to within {delta:.3e}"
+        )
 
 
 def max_psd_scale(sw, g, *, rank_tol: float = RANK_TOL) -> float:
     """sup { a >= 0 : Sw - a G is PSD } for Hermitian PSD Sw and G.
 
     Computed in closed form as 1 / lambda_max of G compressed by the inverse
-    square root of Sw on its range, then cross-checked against the bisection
-    oracle; the two must agree to 1e-8 (relative, floored at one) or
-    OracleMismatch is raised.  Returns 0 when range(G) is not inside
-    range(Sw), and +inf when G = 0 (the constraint is vacuous).
+    square root of Sw on its range, then certified by two min-eigenvalue
+    tests; a closed form off the PSD threshold by more than 1e-8 (relative,
+    floored at one) raises OracleMismatch.  Returns 0 when range(G) is not
+    inside range(Sw), and +inf when G = 0 (the constraint is vacuous).
     """
-    sw_w, sw_v = _checked_psd_eig(sw, "Sw")
-    g_w, _ = _checked_psd_eig(g, "G")
+    sw_eig = hermitian_eig(sw, name="Sw")
+    sw_w = sw_eig.eigenvalues
+    _require_psd(sw_w, "Sw")
+    g_w = hermitian_eig(g, name="G").eigenvalues
+    _require_psd(g_w, "G")
     g_max = float(g_w[-1]) if g_w.size else 0.0
     if g_max <= 0.0:
         return math.inf
@@ -363,7 +381,7 @@ def max_psd_scale(sw, g, *, rank_tol: float = RANK_TOL) -> float:
     keep = sw_w > rank_tol * s_max
     if not np.any(keep):
         return 0.0
-    vr = sw_v[:, keep]
+    vr = sw_eig.eigenvectors[:, keep]
     lam = sw_w[keep]
     gh = hermitian_part(g)
     leak = gh - vr @ (vr.conj().T @ gh)
@@ -375,11 +393,8 @@ def max_psd_scale(sw, g, *, rank_tol: float = RANK_TOL) -> float:
     if mu <= 0.0:
         return math.inf  # G vanishes on range(Sw); defensive, G=0 handled above
     closed = 1.0 / mu
-    oracle = psd_scale_bisection(sw, g)
-    if not _values_agree(closed, oracle, 1e-8):
-        raise OracleMismatch(
-            f"closed form {closed:.12e} vs bisection {oracle:.12e}"
-        )
+    _certify_psd_scale(hermitian_part(sw), gh, closed,
+                       max(abs(sw_w[0]), abs(sw_w[-1])))
     return closed
 
 

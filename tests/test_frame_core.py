@@ -127,6 +127,34 @@ class TestFusionOperator:
         with pytest.raises(DimensionMismatch):
             WeightedSubspaceFamily(3, ((axis_subspace(2, 0), 1.0),))
 
+    def test_built_once_per_family(self):
+        family = random_family(3, 4, 3)
+        assert fusion_operator(family) is fusion_operator(family)
+
+    def test_cached_operator_is_read_only(self):
+        op = fusion_operator(random_family(4, 3, 2, complex_scalars=True))
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            op += 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ambient=st.integers(1, 6),
+        n_members=st.integers(1, 5),
+        complex_scalars=st.booleans(),
+    )
+    def test_cached_operator_matches_members(self, seed, ambient, n_members,
+                                             complex_scalars):
+        family = random_family(seed, ambient, n_members, complex_scalars)
+        expected = sum(
+            (w * w) * (s.basis @ s.basis.conj().T) for s, w in family.members
+        )
+        np.testing.assert_allclose(
+            fusion_operator(family), expected, rtol=0.0, atol=1e-12
+        )
+
 
 class TestAnalysisSynthesis:
     def test_analysis_blocks_live_in_subspaces(self):

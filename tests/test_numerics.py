@@ -12,11 +12,13 @@ from framekit.errors import (
     DimensionMismatch,
     IllConditionedSplit,
     NotHermitian,
+    OracleMismatch,
     NotPSD,
     NotSquare,
 )
 from framekit.numerics import (
     Subspace,
+    _certify_psd_scale,
     as_matrix,
     douglas_check,
     drazin,
@@ -238,6 +240,91 @@ class TestMaxPsdScale:
             assert float(np.linalg.eigvalsh(pushed)[0]) < slack
 
 
+def psd_pencil(seed, dim, complex_scalars, sw_rank=None, g_rank=1):
+    """Hermitian PSD Sw (rank ``sw_rank``, full by default) and G with
+    range(G) inside range(Sw), so the optimal scale is finite and positive."""
+    rng = make_rng(seed)
+    b = gaussian_matrix(rng, dim, sw_rank or dim, complex_scalars)
+    c = b @ gaussian_matrix(rng, b.shape[1], g_rank, complex_scalars)
+    return hermitian_part(b @ b.conj().T), hermitian_part(c @ c.conj().T)
+
+
+PENCILS = [
+    pytest.param(seed, dim, cx, rank, id=f"{kind}-{'complex' if cx else 'real'}-{dim}")
+    for kind, rank in (("regular", None), ("singular", 3))
+    for cx in (False, True)
+    for seed, dim in ((11, 4), (12, 8), (13, 16))
+]
+
+
+def certify(sw, g, a):
+    _certify_psd_scale(sw, g, a, operator_norm(sw))
+
+
+class TestCertifyPsdScale:
+    @pytest.mark.parametrize("seed, dim, complex_scalars, sw_rank", PENCILS)
+    def test_accepts_optimum_and_rejects_it_moved(self, seed, dim,
+                                                  complex_scalars, sw_rank):
+        sw, g = psd_pencil(seed, dim, complex_scalars, sw_rank, g_rank=2)
+        # rescale G so the optimum is 5: a 1e-6 move is then 100 times
+        # the certificate's 1e-8 resolution
+        g = hermitian_part(g * (max_psd_scale(sw, g) / 5.0))
+        best = psd_scale_bisection(sw, g)
+        assert best == pytest.approx(5.0, rel=1e-9)
+        certify(sw, g, best)
+        for moved in (best * (1.0 + 1e-6), best * (1.0 - 1e-6)):
+            with pytest.raises(OracleMismatch):
+                certify(sw, g, moved)
+
+    def test_tiny_optimum_skips_the_lower_test(self):
+        # optimum 3e-9 lies below the resolution delta = 1e-8: the bisection
+        # agrees with any value within delta, and so does the certificate
+        sw = np.diag([3e-9, 1.0])
+        g = np.diag([1.0, 0.0])
+        best = max_psd_scale(sw, g)
+        assert best == pytest.approx(3e-9, rel=1e-12)
+        for claimed in (best, best * (1.0 + 1e-6), best * (1.0 - 1e-6), 9e-9):
+            certify(sw, g, claimed)
+        with pytest.raises(OracleMismatch):
+            certify(sw, g, best + 2e-8)
+
+    def test_max_psd_scale_raises_on_a_wrong_closed_form(self, monkeypatch):
+        sw, g = psd_pencil(21, 6, True, g_rank=2)
+        g = hermitian_part(g * max_psd_scale(sw, g))  # optimum 1
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+
+        def skewed(m):
+            w = eigvalsh(m)
+            calls.append(m.shape)
+            # the first eigvalsh call yields the closed form's mu
+            return w * (1.0 + 1e-6) if len(calls) == 1 else w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", skewed)
+        with pytest.raises(OracleMismatch):
+            max_psd_scale(sw, g)
+
+    def test_eigensolve_count_is_constant(self, monkeypatch):
+        sw, g = psd_pencil(5, 16, True, g_rank=4)
+        counts = {"n": 0}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                counts["n"] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+        per_call = []
+        for scale in (1e-6, 1.0, 1e6):
+            counts["n"] = 0
+            assert math.isfinite(max_psd_scale(sw, hermitian_part(scale * g)))
+            per_call.append(counts["n"])
+        assert per_call[0] <= 6
+        assert per_call == [per_call[0]] * 3
+
+
 class TestProjectionLemma:
     def test_commutation_iff_range_mapped(self):
         # T maps span(e1) into span(e1): compression commutes
@@ -275,6 +362,19 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_uses_hermitian_part_within_tolerance(self):
+        m = np.array([[2.0, 1.0 + 1e-13], [1.0, 2.0]])
+        res = hermitian_eig(m)
+        np.testing.assert_allclose(res.eigenvalues, [1.0, 3.0], atol=1e-12)
+
+    def test_errors_name_the_argument(self):
+        with pytest.raises(NotSquare, match="Sw"):
+            max_psd_scale(np.ones((2, 3)), np.eye(2))
+        with pytest.raises(NotHermitian, match="G"):
+            max_psd_scale(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(NotPSD, match="G"):
+            max_psd_scale(np.eye(2), np.diag([1.0, -1.0]))
 
 
 class TestSubspace:
