@@ -114,6 +114,14 @@ class WeightedSubspaceFamily:
         op.setflags(write=False)
         return op
 
+    @functools.cached_property
+    def fusion_spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of the fusion operator, computed once and
+        read-only."""
+        w = np.linalg.eigvalsh(self.fusion_operator)
+        w.setflags(write=False)
+        return w
+
 
 @dataclass(frozen=True)
 class BlockVector:
@@ -168,14 +176,14 @@ def frame_operator(frame: VectorFrame) -> np.ndarray:
     return hermitian_part(synthesis @ synthesis.conj().T)
 
 
-def _psd_extremes(op: np.ndarray) -> tuple[float, float]:
-    w = np.linalg.eigvalsh(hermitian_part(op))
+def _psd_extremes(w: np.ndarray) -> tuple[float, float]:
+    """Extreme values of an ascending PSD spectrum, clipped at zero."""
     return max(float(w[0]), 0.0), max(float(w[-1]), 0.0)
 
 
 def frame_bounds(frame: VectorFrame) -> FrameBounds:
     """Optimal frame bounds: extreme eigenvalues of the frame operator."""
-    lo, hi = _psd_extremes(frame_operator(frame))
+    lo, hi = _psd_extremes(np.linalg.eigvalsh(frame_operator(frame)))
     assert lo <= hi * (1.0 + 1e-12)
     return FrameBounds(lo, hi, "optimal")
 
@@ -187,8 +195,8 @@ def fusion_operator(family: WeightedSubspaceFamily) -> np.ndarray:
 
 
 def fusion_bounds(family: WeightedSubspaceFamily) -> FrameBounds:
-    """Optimal fusion frame bounds of the family."""
-    lo, hi = _psd_extremes(fusion_operator(family))
+    """Optimal fusion frame bounds of the family, from its cached spectrum."""
+    lo, hi = _psd_extremes(family.fusion_spectrum)
     assert lo <= hi * (1.0 + 1e-12)
     return FrameBounds(lo, hi, "optimal")
 

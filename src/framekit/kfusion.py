@@ -24,6 +24,7 @@ from .numerics import (
     max_psd_scale,
     operator_norm,
     projector,
+    quadratic_forms,
     range_basis,
 )
 
@@ -105,8 +106,8 @@ def verify_k_fusion(inst: KFusionInstance, lower: float, upper: float,
     if n_samples > 0:
         pieces.append(random_unit_vectors(seed, n, n_samples, complex_probe).T)
     cols = np.hstack(pieces)
-    energy = np.einsum("ik,ij,jk->k", cols.conj(), sw, cols).real
-    k_energy = np.einsum("ik,ij,jk->k", cols.conj(), gram, cols).real
+    energy = quadratic_forms(sw, cols)
+    k_energy = quadratic_forms(gram, cols)
     if math.isinf(lower):
         lower_margin = energy
     else:

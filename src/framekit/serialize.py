@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -147,10 +148,45 @@ def _num_from(obj, complex_scalars: bool, path: str) -> complex:
     return complex(float(obj), 0.0)
 
 
+def _bulk_matrix(obj: list, complex_scalars: bool,
+                 cols: int | None) -> np.ndarray | None:
+    """The matrix from one conversion of a well-formed row list, or None.
+
+    None sends the caller to the per-entry decoder, which yields the path
+    of the first offending entry.  The entries are type-checked first,
+    since np.array would silently accept bools, numeric strings and None;
+    the complex result is a view of the (re, im) pairs, so every value,
+    signed zeros included, matches the per-entry construction bit for bit.
+    """
+    if set(map(type, obj)) != {list}:
+        return None
+    width = len(obj[0]) if cols is None else cols
+    if not width or set(map(len, obj)) != {width}:
+        return None
+    entries = chain.from_iterable(obj)
+    if complex_scalars:
+        pairs = list(entries)
+        if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+            return None
+        entries = chain.from_iterable(pairs)
+    if not set(map(type, entries)) <= {int, float}:
+        return None
+    try:
+        values = np.array(obj, dtype=np.float64)
+    except OverflowError:
+        return None
+    if complex_scalars:
+        return values.view(np.complex128)[..., 0]
+    return values.astype(np.complex128)
+
+
 def _matrix_from(obj, complex_scalars: bool, path: str,
                  cols: int | None = None) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise _fail(path, "expected a non-empty list of rows")
+    fast = _bulk_matrix(obj, complex_scalars, cols)
+    if fast is not None:
+        return fast
     rows = []
     width = None
     for i, row in enumerate(obj):
@@ -245,9 +281,18 @@ def obj_to_instance(obj) -> Instance:
         isinstance(i, int) and not isinstance(i, bool) for i in erased_obj
     ):
         raise InvalidConfig("erased must be a list of integers")
+    n_members = len(family)
+    for i in erased_obj:
+        if not 0 <= i < n_members:
+            raise _fail("erased", f"index {i} out of range for {n_members} members")
+    if len(set(erased_obj)) >= n_members:
+        raise _fail("erased", "must leave at least one member")
     meta = obj.get("meta", {})
     if not isinstance(meta, dict):
         raise InvalidConfig("meta must be an object")
+    seed = meta.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise _fail("meta.seed", "expected an integer")
     try:
         return Instance(
             dim=dim, scalar=scalar, family=family, family_v=family_v,

@@ -50,6 +50,7 @@ from .numerics import (
     operator_norm,
     pinv,
     projector,
+    quadratic_forms,
     range_basis,
 )
 
@@ -182,9 +183,7 @@ def _col_norms(m: np.ndarray) -> np.ndarray:
 
 
 def _form_values(form: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    return np.maximum(
-        np.einsum("ik,ij,jk->k", cols.conj(), form, cols).real, 0.0
-    )
+    return np.maximum(quadratic_forms(form, cols), 0.0)
 
 
 def _family_energies(family: WeightedSubspaceFamily, cols: np.ndarray) -> np.ndarray:
@@ -663,7 +662,7 @@ def check_quadratic_perturbation(ww: WeightedSubspaceFamily,
     cols = _grid(n, forms, seed, _has_imag(*forms))
     lhs = np.zeros(cols.shape[1])
     for d in member_forms:
-        lhs += np.abs(np.einsum("ik,ij,jk->k", cols.conj(), d, cols).real)
+        lhs += np.abs(quadratic_forms(d, cols))
     rhs = r * _form_values(gram, cols)
     violation = _verify_pointwise(
         lhs, rhs, tol, "quadratic deviation inequality fails on the grid"
@@ -773,8 +772,6 @@ def check_synthesis_perturbation(ww: WeightedSubspaceFamily,
     ratio = _div(1.0 - a, b + t_norm)
     predicted = FrameBounds(ratio * ratio, upper_full, "predicted")
     actual = FrameBounds(
-        max_psd_scale(s_red, gram),
-        max(float(np.linalg.eigvalsh(s_red)[-1]), 0.0),
-        "optimal",
+        max_psd_scale(s_red, gram), fusion_bounds(reduced).upper, "optimal"
     )
     return _bracket_report("thm4.6", predicted, actual, residuals, seed)

@@ -103,6 +103,35 @@ class TestCheck:
         path.write_text('{"format": "framekit/instance-v1", "dim": "huge"}')
         assert main(["check", str(path)]) == 3
 
+    def check_edited(self, tmp_path, capsys, theorem, scenario, edit):
+        path = write_instance(tmp_path, theorem, scenario)
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        code = main(["check", str(path)])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("erased", [[99], [-1], "all"])
+    def test_bad_erased_exits_three(self, tmp_path, capsys, erased):
+        def edit(obj):
+            obj["erased"] = (
+                list(range(len(obj["members"]))) if erased == "all" else erased
+            )
+
+        code, err = self.check_edited(tmp_path, capsys, "thm3.4",
+                                      "duplicated_axes", edit)
+        assert code == 3
+        assert "config error: erased:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", ["abc", 1.5, True, None])
+    def test_non_integer_seed_exits_three(self, tmp_path, capsys, seed):
+        code, err = self.check_edited(
+            tmp_path, capsys, "thm4.6", "parseval_exact",
+            lambda obj: obj["meta"].update(seed=seed),
+        )
+        assert code == 3
+        assert "config error: meta.seed:" in err and "Traceback" not in err
+
 
 class TestSuite:
     def run_suite(self, tmp_path, name, extra=()):
@@ -163,6 +192,19 @@ class TestSuite:
         out = tmp_path / "suite.json"
         assert main(["suite", "--config", str(config), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["n_per_theorem"] == 1
+
+    def test_documented_config_keys_are_accepted(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "n_per_theorem": 1, "base_seed": 7, "tol": 1e-9, "threads": 1,
+            "include_spoilers": True,
+        }))
+        out = tmp_path / "suite.json"
+        assert main(["suite", "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["base_seed"] == 7
+        assert report["include_spoilers"] is True
+        assert len(report["results"]) == 20
 
     def test_config_unknown_key_exits_three(self, tmp_path, capsys):
         config = tmp_path / "config.json"

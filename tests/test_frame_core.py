@@ -138,6 +138,24 @@ class TestFusionOperator:
         with pytest.raises(ValueError):
             op += 1.0
 
+    def test_spectrum_computed_once_and_read_only(self, monkeypatch):
+        family = random_family(5, 4, 3, complex_scalars=True)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(m):
+            calls.append(m)
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        first, second = fusion_bounds(family), fusion_bounds(family)
+        assert len(calls) == 1 and first == second
+        w = family.fusion_spectrum
+        assert np.array_equal(w, eigvalsh(fusion_operator(family)))
+        assert (first.lower, first.upper) == (max(w[0], 0.0), w[-1])
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),

@@ -30,6 +30,7 @@ from framekit.numerics import (
     projection_lemma_check,
     projector,
     psd_scale_bisection,
+    quadratic_forms,
     range_basis,
 )
 
@@ -354,6 +355,26 @@ def random_subspace_from(rng, ambient, dim, complex_scalars):
     return Subspace(ambient, q[:, :dim])
 
 
+class TestQuadraticForms:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 32),
+        n_cols=st.integers(1, 40),
+        complex_scalars=st.booleans(),
+    )
+    def test_matches_the_three_operand_einsum(self, seed, dim, n_cols,
+                                              complex_scalars):
+        form = random_matrix(seed, dim, dim, complex_scalars)
+        form = form + form.conj().T
+        cols = random_matrix(seed + 1, dim, n_cols, complex_scalars)
+        expected = np.einsum("ik,ij,jk->k", cols.conj(), form, cols).real
+        got = quadratic_forms(form, cols)
+        bound = 1e-12 * operator_norm(form) * np.sum(np.abs(cols) ** 2, axis=0)
+        assert got.shape == (n_cols,)
+        assert np.all(np.abs(got - expected) <= bound)
+
+
 class TestHermitianEig:
     def test_sorted_ascending(self):
         res = hermitian_eig(np.diag([3.0, 1.0, 2.0]))
@@ -377,6 +398,19 @@ class TestHermitianEig:
             max_psd_scale(np.eye(2), np.diag([1.0, -1.0]))
 
 
+def count_svds(monkeypatch):
+    """Patch np.linalg.svd to record each call; returns the record."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
 class TestSubspace:
     def test_projector_idempotent(self):
         w = Subspace.from_span(np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 1.0]]))
@@ -391,6 +425,37 @@ class TestSubspace:
     def test_rejects_skewed_basis(self):
         with pytest.raises(ValueError):
             Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    @staticmethod
+    def drifted_basis(drift):
+        # B*B - I = diag(drift, 0, 0): Frobenius and spectral norm both drift
+        b = np.eye(6)[:, :3]
+        b[:, 0] *= math.sqrt(1.0 + drift)
+        return b
+
+    @pytest.mark.parametrize("drift", [0.45e-12, 0.9e-12])
+    def test_accepts_drift_up_to_the_tolerance(self, drift):
+        assert Subspace(6, self.drifted_basis(drift)).dim == 3
+
+    def test_rejects_drift_just_over_the_tolerance(self):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Subspace(6, self.drifted_basis(1.1e-12))
+
+    @pytest.mark.parametrize("drift,svds", [(0.45e-12, 0), (0.9e-12, 1)])
+    def test_svd_only_above_the_frobenius_threshold(self, monkeypatch,
+                                                    drift, svds):
+        calls = count_svds(monkeypatch)
+        Subspace(6, self.drifted_basis(drift))
+        assert len(calls) == svds
+
+    @pytest.mark.parametrize("complex_scalars", [False, True])
+    def test_orthonormal_basis_needs_no_svd(self, monkeypatch, complex_scalars):
+        q, _ = np.linalg.qr(
+            random_matrix(17, 32, 32, complex_scalars=complex_scalars)
+        )
+        calls = count_svds(monkeypatch)
+        assert Subspace(32, q).dim == 32
+        assert calls == []
 
     def test_as_matrix_rejects_nonfinite(self):
         with pytest.raises(ValueError):

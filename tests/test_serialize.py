@@ -3,16 +3,28 @@ and diagnostic paths on malformed documents."""
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from framekit import serialize
 from framekit.errors import InvalidConfig
-from framekit.instances import GenSpec, Instance, build_instance, check_instance
+from framekit.instances import (
+    SCENARIOS,
+    THEOREM_IDS,
+    GenSpec,
+    Instance,
+    build_instance,
+    check_instance,
+)
 from framekit.frame_core import WeightedSubspaceFamily
 from framekit.numerics import Subspace
 from framekit.serialize import (
     INSTANCE_FORMAT,
+    _bulk_matrix,
+    _matrix_from,
     dumps,
     dumps_instance,
     instance_to_obj,
@@ -150,6 +162,99 @@ class TestDiagnostics:
     def test_not_json(self):
         with pytest.raises(InvalidConfig):
             loads_instance("][")
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False),
+    st.integers(-(10**30), 10**30),
+    st.sampled_from([-0.0, 2**53 + 1, -(2**63) - 7, 10**30]),
+)
+JUNK = st.one_of(
+    st.booleans(), st.text(max_size=3), st.none(), st.just(10**400),
+    st.lists(st.integers(0, 3), max_size=3),
+)
+MUTATIONS = ("none", "entry", "component", "pair_length", "ragged", "row",
+             "width")
+
+
+@st.composite
+def row_lists(draw):
+    """A (possibly mutated) JSON row list with its scalar kind and width."""
+    cx = draw(st.booleans())
+    n_rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def entry():
+        return [draw(NUMBERS), draw(NUMBERS)] if cx else draw(NUMBERS)
+
+    obj = [[entry() for _ in range(width)] for _ in range(n_rows)]
+    mutation = draw(st.sampled_from(MUTATIONS))
+    i, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, width - 1))
+    if mutation == "entry":
+        obj[i][j] = draw(JUNK)
+    elif mutation == "component" and cx:
+        obj[i][j][draw(st.integers(0, 1))] = draw(JUNK)
+    elif mutation == "pair_length" and cx:
+        obj[i][j] = obj[i][j][:1] if draw(st.booleans()) else obj[i][j] + [0.0]
+    elif mutation == "ragged":
+        obj[i] = obj[i][:-1] if draw(st.booleans()) else obj[i] + [entry()]
+    elif mutation == "row":
+        obj[i] = draw(JUNK)
+    elif mutation == "width":
+        width += 1
+    return obj, cx, width, mutation
+
+
+def per_entry_only():
+    """Turn the bulk path off, leaving the per-entry decoder."""
+    return mock.patch.object(serialize, "_bulk_matrix", return_value=None)
+
+
+def fingerprint(m):
+    return m.dtype, m.shape, m.tobytes()
+
+
+def decoded(obj, cx, cols):
+    """What _matrix_from makes of a row list: the array's bytes or the error."""
+    try:
+        return fingerprint(_matrix_from(obj, cx, "m", cols))
+    except (InvalidConfig, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def instance_arrays(inst):
+    families = [inst.family] + ([inst.family_v] if inst.family_v else [])
+    bases = [s.basis for fam in families for s, _ in fam.members]
+    return bases + [inst.operators[name] for name in sorted(inst.operators)]
+
+
+class TestBulkDecoding:
+    @settings(max_examples=300, deadline=None)
+    @given(case=row_lists())
+    def test_agrees_with_the_per_entry_decoder(self, case):
+        obj, cx, cols, mutation = case
+        if mutation == "none":
+            assert _bulk_matrix(obj, cx, cols) is not None
+        fast = decoded(obj, cx, cols)
+        with per_entry_only():
+            assert fast == decoded(obj, cx, cols)
+
+    def test_signed_zeros_survive(self):
+        real = _matrix_from([[-0.0, 0.0]], False, "m", 2)
+        cplx = _matrix_from([[[-0.0, -0.0], [0.0, -0.0]]], True, "m", 2)
+        assert list(np.signbit(real.real[0])) == [True, False]
+        assert list(np.signbit(cplx.real[0])) == [True, False]
+        assert list(np.signbit(cplx.imag[0])) == [True, True]
+
+    @pytest.mark.parametrize("scalar", ["real", "complex"])
+    def test_generated_instances_decode_identically(self, scalar):
+        for tid in THEOREM_IDS:
+            scenario = SCENARIOS[tid][0]
+            inst = build_instance(tid, GenSpec(21, 6, scenario, {"scalar": scalar}))
+            text = dumps_instance(inst)
+            fast = instance_arrays(loads_instance(text))
+            with per_entry_only():
+                slow = instance_arrays(loads_instance(text))
+            assert list(map(fingerprint, fast)) == list(map(fingerprint, slow))
 
 
 class TestReportEmission:
