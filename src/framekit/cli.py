@@ -249,6 +249,16 @@ def _load_suite_config(path: str | None) -> dict:
     unknown = set(obj) - allowed
     if unknown:
         raise InvalidConfig(f"{path}: unknown keys {sorted(unknown)}")
+    for key in ("n_per_theorem", "base_seed", "threads"):
+        if key in obj and (not isinstance(obj[key], int)
+                           or isinstance(obj[key], bool)):
+            raise InvalidConfig(f"{path}: {key} must be an integer")
+    tol = obj.get("tol", 1e-9)
+    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+            or not 0 < tol <= sys.float_info.max):
+        raise InvalidConfig(f"{path}: tol must be a finite positive number")
+    if not isinstance(obj.get("include_spoilers", False), bool):
+        raise InvalidConfig(f"{path}: include_spoilers must be true or false")
     return obj
 
 

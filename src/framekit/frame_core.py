@@ -24,9 +24,11 @@ from .errors import (
 )
 from .numerics import (
     RANK_TOL,
+    EigenResult,
     Subspace,
     as_matrix,
     as_vector,
+    hermitian_eig,
     hermitian_part,
     projector,
 )
@@ -115,9 +117,20 @@ class WeightedSubspaceFamily:
         return op
 
     @functools.cached_property
+    def fusion_eig(self) -> EigenResult:
+        """Eigendecomposition of the fusion operator by hermitian_eig,
+        computed once and read-only."""
+        eig = hermitian_eig(self.fusion_operator, name="Sw")
+        eig.eigenvalues.setflags(write=False)
+        eig.eigenvectors.setflags(write=False)
+        return eig
+
+    @functools.cached_property
     def fusion_spectrum(self) -> np.ndarray:
         """Ascending eigenvalues of the fusion operator, computed once and
-        read-only."""
+        read-only.  Kept on eigvalsh, apart from fusion_eig: eigh's
+        eigenvalues differ from it in the last bits, and the optimal fusion
+        bounds are read from these."""
         w = np.linalg.eigvalsh(self.fusion_operator)
         w.setflags(write=False)
         return w

@@ -77,6 +77,20 @@ SPOILERS: Mapping[str, str] = {
     "thm4.7": "inadmissible_a",
 }
 
+# instance fields each checker reads beyond ``members``, as field paths
+REQUIRED_FIELDS: Mapping[str, tuple[str, ...]] = {
+    "thm3.1": ("operators.K",),
+    "lem3.2": ("operators.K",),
+    "thm3.4": ("operators.K",),
+    "lem4.1": ("operators.K1", "operators.K2", "constants"),
+    "thm4.4.1": ("members_v", "constants"),
+    "thm4.4.2": ("members_v", "operators.K", "constants"),
+    "thm4.4.3": ("members_v", "constants"),
+    "prop4.5": ("members_v", "operators.K", "quadratic_bound"),
+    "thm4.6": ("operators.K", "constants"),
+    "thm4.7": ("operators.K", "constants"),
+}
+
 # sweep step and safety inflation for grid-certified constants; with ratio
 # functions 2-Lipschitz in the sweep parameter these guarantee
 # true <= certified <= 1.01 * true whenever true >= 0.1
@@ -87,6 +101,7 @@ __all__ = [
     "GenSpec",
     "Instance",
     "PerturbedPair",
+    "REQUIRED_FIELDS",
     "SCENARIOS",
     "SPOILERS",
     "THEOREM_IDS",

@@ -83,9 +83,10 @@ def k_lower_bound(inst: KFusionInstance) -> float:
     Returns +inf for K = 0 (vacuous inequality) and exactly 0.0 when
     range(K) is not contained in range(S_W).
     """
-    sw = fusion_operator(inst.family)
+    family = inst.family
     gram = hermitian_part(inst.operator @ inst.operator.conj().T)
-    return max_psd_scale(sw, gram)
+    return max_psd_scale(fusion_operator(family), gram,
+                         sw_eig=family.fusion_eig)
 
 
 def verify_k_fusion(inst: KFusionInstance, lower: float, upper: float,
@@ -99,7 +100,7 @@ def verify_k_fusion(inst: KFusionInstance, lower: float, upper: float,
     n = inst.family.ambient_dim
     sw = fusion_operator(inst.family)
     gram = hermitian_part(inst.operator @ inst.operator.conj().T)
-    pieces = [np.linalg.eigh(sw)[1], np.linalg.eigh(gram)[1]]
+    pieces = [inst.family.fusion_eig.eigenvectors, np.linalg.eigh(gram)[1]]
     complex_probe = bool(
         np.abs(sw.imag).max() > 0 or np.abs(gram.imag).max() > 0
     )

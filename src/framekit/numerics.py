@@ -367,7 +367,8 @@ def _certify_psd_scale(sw: np.ndarray, g: np.ndarray, a: float,
         )
 
 
-def max_psd_scale(sw, g, *, rank_tol: float = RANK_TOL) -> float:
+def max_psd_scale(sw, g, *, rank_tol: float = RANK_TOL,
+                  sw_eig: EigenResult | None = None) -> float:
     """sup { a >= 0 : Sw - a G is PSD } for Hermitian PSD Sw and G.
 
     Computed in closed form as 1 / lambda_max of G compressed by the inverse
@@ -375,8 +376,11 @@ def max_psd_scale(sw, g, *, rank_tol: float = RANK_TOL) -> float:
     tests; a closed form off the PSD threshold by more than 1e-8 (relative,
     floored at one) raises OracleMismatch.  Returns 0 when range(G) is not
     inside range(Sw), and +inf when G = 0 (the constraint is vacuous).
+    ``sw_eig``, when given, must be ``hermitian_eig(sw)``, such as a
+    family's cached ``fusion_eig``; it saves recomputing it.
     """
-    sw_eig = hermitian_eig(sw, name="Sw")
+    if sw_eig is None:
+        sw_eig = hermitian_eig(sw, name="Sw")
     sw_w = sw_eig.eigenvalues
     _require_psd(sw_w, "Sw")
     g_w = hermitian_eig(g, name="G").eigenvalues

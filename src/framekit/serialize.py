@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .frame_core import FrameBounds, WeightedSubspaceFamily
-from .instances import Instance
+from .instances import REQUIRED_FIELDS, Instance
 from .numerics import Subspace
 from .theorems import PerturbationConstants, TheoremReport
 
@@ -142,10 +142,18 @@ def _num_from(obj, complex_scalars: bool, path: str) -> complex:
         if (not isinstance(obj, (list, tuple)) or len(obj) != 2
                 or not all(isinstance(v, (int, float)) for v in obj)):
             raise _fail(path, "expected a [re, im] pair")
-        return complex(float(obj[0]), float(obj[1]))
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise _fail(path, "expected a real number")
-    return complex(float(obj), 0.0)
+        parts = obj
+    else:
+        if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+            raise _fail(path, "expected a real number")
+        parts = (obj, 0.0)
+    try:
+        value = complex(float(parts[0]), float(parts[1]))
+    except OverflowError:
+        raise _fail(path, "expected a finite number") from None
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise _fail(path, "expected a finite number")
+    return value
 
 
 def _bulk_matrix(obj: list, complex_scalars: bool,
@@ -185,7 +193,7 @@ def _matrix_from(obj, complex_scalars: bool, path: str,
     if not isinstance(obj, list) or not obj:
         raise _fail(path, "expected a non-empty list of rows")
     fast = _bulk_matrix(obj, complex_scalars, cols)
-    if fast is not None:
+    if fast is not None and np.isfinite(fast).all():
         return fast
     rows = []
     width = None
@@ -215,7 +223,7 @@ def _family_from(obj, dim: int, complex_scalars: bool,
             raise _fail(f"{path}[{i}]", "expected an object")
         try:
             weight = float(entry["weight"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise _fail(f"{path}[{i}].weight", "missing or non-numeric") from None
         vectors = _matrix_from(
             entry.get("basis"), complex_scalars, f"{path}[{i}].basis", cols=dim
@@ -269,13 +277,16 @@ def obj_to_instance(obj) -> Instance:
                 float(c_obj.get("b", 0.0)),
                 float(c_obj.get("c", 0.0)),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfig(f"constants: {exc}") from None
     quad = obj.get("quadratic_bound")
     if quad is not None:
         if isinstance(quad, bool) or not isinstance(quad, (int, float)):
             raise InvalidConfig("quadratic_bound must be a number")
-        quad = float(quad)
+        try:
+            quad = float(quad)
+        except OverflowError:
+            raise _fail("quadratic_bound", "expected a finite number") from None
     erased_obj = obj.get("erased", [])
     if not isinstance(erased_obj, list) or not all(
         isinstance(i, int) and not isinstance(i, bool) for i in erased_obj
@@ -293,6 +304,14 @@ def obj_to_instance(obj) -> Instance:
     seed = meta.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise _fail("meta.seed", "expected an integer")
+    theorem = meta.get("theorem")
+    present = {f"operators.{name}" for name in operators}
+    present.update(key for key in ("members_v", "constants", "quadratic_bound")
+                   if obj.get(key) is not None)
+    if isinstance(theorem, str):
+        for path in REQUIRED_FIELDS.get(theorem, ()):
+            if path not in present:
+                raise _fail(path, f"missing; {theorem} requires it")
     try:
         return Instance(
             dim=dim, scalar=scalar, family=family, family_v=family_v,

@@ -166,13 +166,18 @@ def _has_imag(*arrays) -> bool:
     return any(a.size and float(np.abs(a.imag).max()) > 0.0 for a in arrays)
 
 
-def _grid(dim: int, forms: Sequence[np.ndarray], seed: int,
-          complex_probe: bool, n_random: int = GRID_SAMPLES) -> np.ndarray:
-    """Unit-vector columns: eigenvectors of each form plus seeded randoms."""
-    pieces = []
-    for f in forms:
-        if f.size:
-            pieces.append(np.linalg.eigh(hermitian_part(f))[1])
+def _grid(dim: int, forms: Sequence[np.ndarray | WeightedSubspaceFamily],
+          seed: int, complex_probe: bool,
+          n_random: int = GRID_SAMPLES) -> np.ndarray:
+    """Unit-vector columns: eigenvectors of each form plus seeded randoms.
+
+    A family stands for its fusion operator and gives its cached
+    eigenvectors; the Hermitian matrices share one stacked eigh call.
+    """
+    stacked = np.stack([f for f in forms if isinstance(f, np.ndarray)])
+    vectors = iter(np.linalg.eigh(stacked)[1])
+    pieces = [next(vectors) if isinstance(f, np.ndarray)
+              else f.fusion_eig.eigenvectors for f in forms]
     if n_random > 0:
         pieces.append(random_unit_vectors(seed, dim, n_random, complex_probe).T)
     return np.hstack(pieces)
@@ -184,15 +189,6 @@ def _col_norms(m: np.ndarray) -> np.ndarray:
 
 def _form_values(form: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.maximum(quadratic_forms(form, cols), 0.0)
-
-
-def _family_energies(family: WeightedSubspaceFamily, cols: np.ndarray) -> np.ndarray:
-    total = np.zeros(cols.shape[1])
-    for s, w in family.members:
-        if s.dim:
-            coeff = s.basis.conj().T @ cols
-            total += (w * w) * np.einsum("ij,ij->j", coeff.conj(), coeff).real
-    return np.maximum(total, 0.0)
 
 
 def _scaled_range(product: np.ndarray, operator_scale: float) -> Subspace:
@@ -439,9 +435,9 @@ def check_operator_perturbation(family: WeightedSubspaceFamily, k1, k2,
         hermitian_part(diff @ diff.conj().T),
         hermitian_part(k1 @ k1.conj().T),
         hermitian_part(k2 @ k2.conj().T),
-        fusion_operator(family),
+        family,
     ]
-    cols = _grid(n, forms, seed, _has_imag(k1, k2, forms[3]))
+    cols = _grid(n, forms, seed, _has_imag(k1, k2, fusion_operator(family)))
     lhs = _col_norms(diff.conj().T @ cols)
     n1 = _col_norms(k1.conj().T @ cols)
     n2 = _col_norms(k2.conj().T @ cols)
@@ -487,13 +483,19 @@ def _member_diffs(ww: WeightedSubspaceFamily,
     ]
 
 
-def _pair_lhs(diffs: Sequence[np.ndarray], cols: np.ndarray) -> np.ndarray:
-    """Blockwise perturbation norms sqrt(sum_i ||(w_i P_i - v_i Q_i) f||^2)."""
-    total = np.zeros(cols.shape[1])
-    for d in diffs:
-        applied = d @ cols
-        total += np.einsum("ij,ij->j", applied.conj(), applied).real
-    return np.sqrt(np.maximum(total, 0.0))
+def _pair_lhs(grams: Sequence[np.ndarray], cols: np.ndarray) -> np.ndarray:
+    """sqrt(sum_i ||(w_i P_i - v_i Q_i) f||^2) from the forms d_i d_i*."""
+    return np.sqrt(_form_values(sum(grams), cols))
+
+
+def _member_energies(family: WeightedSubspaceFamily,
+                     cols: np.ndarray) -> np.ndarray:
+    """Rows v_i^2 ||P_{W_i} f||^2 per member: the analysis product T* f,
+    squared and summed per member by a 0/1 membership product."""
+    coeffs = fusion_synthesis_matrix(family).conj().T @ cols
+    owner = np.repeat(np.arange(len(family)), [s.dim for s in family.subspaces])
+    member = owner == np.arange(len(family))[:, None]
+    return member @ (coeffs.real ** 2 + coeffs.imag ** 2)
 
 
 def check_projection_perturbation(ww: WeightedSubspaceFamily,
@@ -525,14 +527,14 @@ def check_projection_perturbation(ww: WeightedSubspaceFamily,
 
     s_w = fusion_operator(ww)
     s_v = fusion_operator(vv)
-    diffs = _member_diffs(ww, vv)
-    forms = [s_w, s_v] + [hermitian_part(d @ d.conj().T) for d in diffs]
+    grams = [hermitian_part(d @ d.conj().T) for d in _member_diffs(ww, vv)]
+    forms = [ww, vv] + grams
     if k_mat is not None:
         forms.append(hermitian_part(k_mat @ k_mat.conj().T))
-    cols = _grid(n, forms, seed, _has_imag(*forms))
-    lhs = _pair_lhs(diffs, cols)
-    en_w = np.sqrt(_family_energies(ww, cols))
-    en_v = np.sqrt(_family_energies(vv, cols))
+    cols = _grid(n, forms, seed, _has_imag(s_w, s_v, *forms[2:]))
+    lhs = _pair_lhs(grams, cols)
+    en_w = np.sqrt(_form_values(s_w, cols))
+    en_v = np.sqrt(_form_values(s_v, cols))
     plain = _col_norms(cols)
     if lam is LambdaKind.ZERO:
         c_term = np.zeros(cols.shape[1])
@@ -658,11 +660,10 @@ def check_quadratic_perturbation(ww: WeightedSubspaceFamily,
             hermitian_part((w * w) * projector(sw) - (v * v) * projector(sv))
         )
     gram = hermitian_part(k_mat @ k_mat.conj().T)
-    forms = [fusion_operator(ww), fusion_operator(vv), gram] + member_forms
-    cols = _grid(n, forms, seed, _has_imag(*forms))
-    lhs = np.zeros(cols.shape[1])
-    for d in member_forms:
-        lhs += np.abs(quadratic_forms(d, cols))
+    forms = [gram] + member_forms
+    cols = _grid(n, [ww, vv] + forms, seed,
+                 _has_imag(fusion_operator(ww), fusion_operator(vv), *forms))
+    lhs = np.abs(_member_energies(ww, cols) - _member_energies(vv, cols)).sum(axis=0)
     rhs = r * _form_values(gram, cols)
     violation = _verify_pointwise(
         lhs, rhs, tol, "quadratic deviation inequality fails on the grid"
@@ -746,7 +747,7 @@ def check_synthesis_perturbation(ww: WeightedSubspaceFamily,
             raise AdmissibilityFailed(f"a = {a} must be below 1")
     deviation = k_mat.conj().T - s_red
     gram = hermitian_part(k_mat @ k_mat.conj().T)
-    forms = [hermitian_part(deviation.conj().T @ deviation), gram, s_red]
+    forms = [hermitian_part(deviation.conj().T @ deviation), gram, reduced]
     cols = _grid(n, forms, seed, _has_imag(k_mat, s_red))
     lhs = _col_norms(deviation @ cols)
     rhs = (
@@ -771,7 +772,6 @@ def check_synthesis_perturbation(ww: WeightedSubspaceFamily,
         )
     ratio = _div(1.0 - a, b + t_norm)
     predicted = FrameBounds(ratio * ratio, upper_full, "predicted")
-    actual = FrameBounds(
-        max_psd_scale(s_red, gram), fusion_bounds(reduced).upper, "optimal"
-    )
+    lower = k_lower_bound(KFusionInstance(reduced, k_mat))
+    actual = FrameBounds(lower, fusion_bounds(reduced).upper, "optimal")
     return _bracket_report("thm4.6", predicted, actual, residuals, seed)

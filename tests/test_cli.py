@@ -132,6 +132,52 @@ class TestCheck:
         assert code == 3
         assert "config error: meta.seed:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("theorem, scenario, field, edit", [
+        ("thm4.6", "parseval_exact", "operators.K",
+         lambda obj: obj["operators"].pop("K")),
+        ("thm4.6", "parseval_exact", "operators.K",
+         lambda obj: obj["operators"].update(K1=obj["operators"]["K"],
+                                             K2=obj["operators"].pop("K"))),
+        ("lem4.1", "additive", "operators.K2",
+         lambda obj: obj["operators"].pop("K2")),
+        ("thm4.4.2", "rotation", "members_v", lambda obj: obj.pop("members_v")),
+        ("thm4.7", "shifted_synthesis", "constants",
+         lambda obj: obj.pop("constants")),
+        ("prop4.5", "rotation", "quadratic_bound",
+         lambda obj: obj.pop("quadratic_bound")),
+    ])
+    def test_missing_field_exits_three(self, tmp_path, capsys, theorem,
+                                       scenario, field, edit):
+        code, err = self.check_edited(tmp_path, capsys, theorem, scenario, edit)
+        assert code == 3
+        assert f"config error: {field}: missing; {theorem} requires it" in err
+
+    @pytest.mark.parametrize("scalar, value", [
+        ("real", 10**400), ("real", float("inf")), ("complex", [1.0, 10**400]),
+    ])
+    def test_entry_beyond_float_range_exits_three(self, tmp_path, capsys,
+                                                  scalar, value):
+        inst = build_instance("thm4.6", GenSpec(
+            3, 4, "scaled_synthesis", {"scalar": scalar}))
+        obj = json.loads(dumps_instance(inst))
+        obj["operators"]["K"][0][0] = value
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(obj))
+        assert main(["check", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "config error: operators.K[0][0]: expected a finite number" in err
+
+    @pytest.mark.parametrize("theorem, scenario, edit", [
+        ("thm4.6", "parseval_exact",
+         lambda obj: obj["members"][0].update(weight=10**400)),
+        ("thm4.6", "parseval_exact", lambda obj: obj["constants"].update(a=10**400)),
+        ("prop4.5", "rotation", lambda obj: obj.update(quadratic_bound=10**400)),
+    ])
+    def test_scalar_beyond_float_range_exits_three(self, tmp_path, capsys,
+                                                   theorem, scenario, edit):
+        code, err = self.check_edited(tmp_path, capsys, theorem, scenario, edit)
+        assert code == 3 and "config error:" in err
+
 
 class TestSuite:
     def run_suite(self, tmp_path, name, extra=()):
@@ -205,6 +251,22 @@ class TestSuite:
         assert report["base_seed"] == 7
         assert report["include_spoilers"] is True
         assert len(report["results"]) == 20
+
+    @pytest.mark.parametrize("key, value", [
+        ("threads", "x"), ("threads", 1.5), ("threads", True),
+        ("n_per_theorem", "5"), ("n_per_theorem", False),
+        ("base_seed", 7.0), ("base_seed", True),
+        ("tol", [1]), ("tol", "1e-9"), ("tol", True), ("tol", 0),
+        ("tol", -1e-9), ("tol", float("inf")), ("tol", float("nan")),
+        ("tol", 10**400),
+        ("include_spoilers", "yes"), ("include_spoilers", 1),
+    ])
+    def test_config_value_of_wrong_type_exits_three(self, tmp_path, capsys,
+                                                    key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_per_theorem": 1, key: value}))
+        assert main(["suite", "--config", str(config)]) == 3
+        assert f"{key} must be" in capsys.readouterr().err
 
     def test_config_unknown_key_exits_three(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -156,6 +156,25 @@ class TestFusionOperator:
         with pytest.raises(ValueError):
             w[0] = 0.0
 
+    def test_eigendecomposition_computed_once_and_read_only(self, monkeypatch):
+        family = random_family(6, 5, 3, complex_scalars=True)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(m):
+            calls.append(m)
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        eig = family.fusion_eig
+        assert family.fusion_eig is eig and len(calls) == 1
+        w, v = eigh(fusion_operator(family))
+        assert np.array_equal(eig.eigenvalues, w)
+        assert np.array_equal(eig.eigenvectors, v)
+        for part in (eig.eigenvalues, eig.eigenvectors):
+            with pytest.raises(ValueError):
+                part[0] = 0.0
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),

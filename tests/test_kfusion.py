@@ -169,3 +169,38 @@ class TestVerify:
 
         with pytest.raises(DimensionMismatch):
             KFusionInstance(weighted_axes([1.0, 1.0]), np.eye(3))
+
+
+def count_fusion_eighs(monkeypatch, family):
+    """Count np.linalg.eigh calls made on the family's fusion operator."""
+    sw = fusion_operator(family)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(m, *args, **kwargs):
+        if np.array_equal(m, sw):
+            calls.append(m)
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+class TestFusionEigReuse:
+    def test_bounds_and_verification_share_one_eigensolve(self, monkeypatch):
+        family = random_family(8, 6, 5, complex_scalars=True)
+        calls = count_fusion_eighs(monkeypatch, family)
+        rng = make_rng(9)
+        for _ in range(4):
+            inst = KFusionInstance(family, gaussian_matrix(rng, 6, 6, True))
+            lower = k_lower_bound(inst)
+        verify_k_fusion(inst, lower, fusion_bounds(family).upper, seed=3)
+        assert len(calls) == 1
+
+    def test_drazin_check_eigendecomposes_the_family_once(self, monkeypatch):
+        from framekit.instances import GenSpec, build_instance, check_instance
+
+        inst = build_instance("lem3.2", GenSpec(11, 8, "drazin_core"))
+        calls = count_fusion_eighs(monkeypatch, inst.family)
+        assert check_instance(inst).passed
+        assert len(calls) == 1

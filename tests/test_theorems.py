@@ -9,20 +9,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from framekit._rng import gaussian_matrix, make_rng
+from framekit._rng import gaussian_matrix, make_rng, random_unit_vectors
 from framekit.errors import (
     AdmissibilityFailed,
     DimensionMismatch,
     HypothesisFailed,
     ZeroDrazin,
 )
-from framekit.frame_core import WeightedSubspaceFamily, fusion_bounds
+from framekit.frame_core import WeightedSubspaceFamily, fusion_bounds, fusion_operator
+from framekit.instances import GenSpec, build_instance, check_instance
 from framekit.kfusion import KFusionInstance, k_lower_bound
-from framekit.numerics import Subspace
+from framekit.numerics import Subspace, hermitian_part, projector, quadratic_forms
 from framekit.theorems import (
+    GRID_SAMPLES,
     LambdaKind,
     PerturbationConstants,
+    _form_values,
+    _grid,
+    _member_diffs,
+    _member_energies,
+    _pair_lhs,
     check_drazin,
     check_erasure,
     check_image_under_k,
@@ -487,3 +495,125 @@ class TestSynthesisPerturbation:
                 constants=PerturbationConstants(0.6, 0.0, 0.5),
                 closed_range_variant=True,
             )
+
+
+def random_form(rng, dim, rank, complex_scalars):
+    """A Hermitian PSD form of the given rank (zero for rank 0)."""
+    g = gaussian_matrix(rng, dim, rank, complex_scalars)
+    return hermitian_part(g @ g.conj().T)
+
+
+def paired_families(seed, dim, n_members, complex_scalars):
+    """Two families with members of independent dims and weights."""
+    rng = make_rng(seed)
+
+    def family():
+        members = []
+        for _ in range(n_members):
+            rank = int(rng.integers(1, dim + 1))
+            q, _ = np.linalg.qr(gaussian_matrix(rng, dim, rank, complex_scalars))
+            members.append((Subspace(dim, q[:, :rank]), float(rng.uniform(0.5, 2.0))))
+        return WeightedSubspaceFamily(dim, tuple(members))
+
+    return family(), family()
+
+
+class TestGrid:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 32),
+        complex_scalars=st.booleans(),
+        ranks=st.lists(st.sampled_from(["zero", "deficient", "full"]),
+                       min_size=1, max_size=5),
+        family_at=st.integers(0, 5),
+    )
+    def test_stacked_eigh_matches_per_form_calls(self, seed, dim, complex_scalars,
+                                                 ranks, family_at):
+        rng = make_rng(seed)
+        full = {"zero": 0, "deficient": max(dim - 1, 0) // 2, "full": dim}
+        forms = [random_form(rng, dim, full[r], complex_scalars) for r in ranks]
+        family = paired_families(seed, dim, 2, complex_scalars)[0]
+        forms.insert(min(family_at, len(forms)), family)
+        cols = _grid(dim, forms, seed, complex_scalars)
+        expected = [
+            np.linalg.eigh(fusion_operator(f) if f is family else f)[1]
+            for f in forms
+        ]
+        expected.append(random_unit_vectors(seed, dim, GRID_SAMPLES,
+                                            complex_scalars).T)
+        assert np.array_equal(cols, np.hstack(expected))
+
+    def test_identical_families_give_zero_forms(self):
+        inst = build_instance("thm4.4.3", GenSpec(5, 12, "identical"))
+        grams = [hermitian_part(d @ d.conj().T)
+                 for d in _member_diffs(inst.family, inst.family_v)]
+        assert not any(np.any(g) for g in grams)
+        cols = _grid(12, [inst.family, inst.family_v] + grams, 5, False)
+        assert np.array_equal(_pair_lhs(grams, cols), np.zeros(cols.shape[1]))
+
+
+class TestGridSides:
+    """Each grid side agrees with its per-member formula within 1e-12 of
+    the largest value it can take on a unit vector."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 32),
+        n_members=st.integers(1, 6),
+        complex_scalars=st.booleans(),
+    )
+    def test_sides_match_per_member_formulas(self, seed, dim, n_members,
+                                             complex_scalars):
+        ww, vv = paired_families(seed, dim, n_members, complex_scalars)
+        cols = random_unit_vectors(seed, dim, 40, complex_scalars).T
+        pairs = list(zip(ww.members, vv.members))
+
+        diffs = _member_diffs(ww, vv)
+        old_pair = sum(np.sum(np.abs(d @ cols) ** 2, axis=0) for d in diffs)
+        grams = [hermitian_part(d @ d.conj().T) for d in diffs]
+        scale = sum((w + v) ** 2 for (_, w), (_, v) in pairs)
+        np.testing.assert_allclose(_pair_lhs(grams, cols) ** 2, old_pair,
+                                   rtol=0, atol=1e-12 * scale)
+
+        old_energy = sum(w * w * np.sum(np.abs(s.basis.conj().T @ cols) ** 2, axis=0)
+                         for s, w in ww.members)
+        np.testing.assert_allclose(_form_values(fusion_operator(ww), cols),
+                                   old_energy, rtol=0,
+                                   atol=1e-12 * sum(w * w for w in ww.weights))
+
+        old_quadratic = sum(
+            np.abs(quadratic_forms(
+                hermitian_part(w * w * projector(sw) - v * v * projector(sv)), cols))
+            for (sw, w), (sv, v) in pairs
+        )
+        lhs = np.abs(_member_energies(ww, cols) - _member_energies(vv, cols)).sum(axis=0)
+        scale = sum(w * w + v * v for (_, w), (_, v) in pairs)
+        np.testing.assert_allclose(lhs, old_quadratic, rtol=0, atol=1e-12 * scale)
+
+
+class TestGridEigensolves:
+    def count_eighs(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(m, *args, **kwargs):
+            calls.append(np.shape(m))
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    @pytest.mark.parametrize("theorem, scenario, others", [
+        ("thm4.4.3", "rotation", 0),
+        ("prop4.5", "rotation", 2),  # the G of two k_lower_bound calls
+    ])
+    def test_pair_check_makes_one_grid_eigh_call(self, monkeypatch, theorem,
+                                                 scenario, others):
+        inst = build_instance(theorem, GenSpec(7, 10, scenario))
+        inst.family.fusion_eig, inst.family_v.fusion_eig  # fill the caches
+        calls = self.count_eighs(monkeypatch)
+        assert check_instance(inst).passed
+        stacked = [shape for shape in calls if len(shape) == 3]
+        assert len(stacked) == 1 and len(calls) == 1 + others
