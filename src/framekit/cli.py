@@ -1,9 +1,11 @@
 """Command line front end.
 
 Exit codes: 0 all checks passed, 1 a bracketing check failed, 2 a
-hypothesis or admissibility precondition was rejected, 3 bad usage or an
-unreadable input.  Suite JSON output is byte-identical across runs of the
-same version; timing lives only in the CSV summary and on stderr.
+hypothesis or admissibility precondition was rejected, 3 bad usage, an
+unreadable input, or an input the numerics refuse (not Hermitian, not
+PSD, an uncertifiable bound, an ill-conditioned split).  Suite JSON
+output is byte-identical across runs of the same version; timing lives
+only in the CSV summary and on stderr.
 """
 
 from __future__ import annotations
@@ -91,6 +93,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"framekit: {exc}", file=sys.stderr)
+        return 3
+    except FramekitError as exc:
+        print(f"framekit: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     parser.print_help()
     return 3

@@ -94,13 +94,11 @@ class EigenResult:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(m, tol: float = 1e-10, *, name: str = "matrix") -> EigenResult:
-    """Eigendecomposition of a Hermitian matrix.
+def _checked_hermitian(m, tol: float, name: str) -> np.ndarray:
+    """The Hermitian part of ``m`` after the checks of hermitian_eig.
 
-    Raises NotSquare on a rectangular input and NotHermitian when the
-    symmetry residual exceeds ``tol * ||M||``; ``name`` labels the matrix in
-    both messages.  An exactly Hermitian input has residual zero, so its two
-    norms are skipped.
+    An exactly Hermitian input is returned as is; it equals its Hermitian
+    part bit for bit.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
@@ -110,7 +108,18 @@ def hermitian_eig(m, tol: float = 1e-10, *, name: str = "matrix") -> EigenResult
         if operator_norm(m - adjoint) > tol * operator_norm(m):
             raise NotHermitian(f"{name} is not Hermitian within tolerance")
         m = (m + adjoint) / 2.0
-    w, v = np.linalg.eigh(m)
+    return m
+
+
+def hermitian_eig(m, tol: float = 1e-10, *, name: str = "matrix") -> EigenResult:
+    """Eigendecomposition of a Hermitian matrix.
+
+    Raises NotSquare on a rectangular input and NotHermitian when the
+    symmetry residual exceeds ``tol * ||M||``; ``name`` labels the matrix in
+    both messages.  An exactly Hermitian input has residual zero, so its two
+    norms are skipped.
+    """
+    w, v = np.linalg.eigh(_checked_hermitian(m, tol, name))
     return EigenResult(w, v)
 
 
@@ -383,7 +392,8 @@ def max_psd_scale(sw, g, *, rank_tol: float = RANK_TOL,
         sw_eig = hermitian_eig(sw, name="Sw")
     sw_w = sw_eig.eigenvalues
     _require_psd(sw_w, "Sw")
-    g_w = hermitian_eig(g, name="G").eigenvalues
+    gh = _checked_hermitian(g, 1e-10, "G")
+    g_w = np.linalg.eigvalsh(gh)
     _require_psd(g_w, "G")
     g_max = float(g_w[-1]) if g_w.size else 0.0
     if g_max <= 0.0:
@@ -396,7 +406,6 @@ def max_psd_scale(sw, g, *, rank_tol: float = RANK_TOL,
         return 0.0
     vr = sw_eig.eigenvectors[:, keep]
     lam = sw_w[keep]
-    gh = hermitian_part(g)
     leak = gh - vr @ (vr.conj().T @ gh)
     if operator_norm(leak) > rank_tol * g_max:
         return 0.0

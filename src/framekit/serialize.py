@@ -3,7 +3,9 @@
 Emission is deterministic: fixed key order, no whitespace variation, and
 floats printed with ``%.17g`` so they round-trip to the exact double.
 Infinite values are emitted as the strings "inf"/"-inf" and only appear
-in reports; instance files must be finite.
+in reports; instance files must be finite, with every matrix entry and
+weight at most ``MAX_ENTRY`` in magnitude, so that products of two
+matrices (K K*, D D*) and their pencils stay far inside the float range.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .theorems import PerturbationConstants, TheoremReport
 INSTANCE_FORMAT = "framekit/instance-v1"
 REPORT_FORMAT = "framekit/report-v1"
 SUITE_FORMAT = "framekit/suite-v1"
+MAX_ENTRY = 1e100
 
 __all__ = [
     "INSTANCE_FORMAT",
@@ -153,6 +156,8 @@ def _num_from(obj, complex_scalars: bool, path: str) -> complex:
         raise _fail(path, "expected a finite number") from None
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise _fail(path, "expected a finite number")
+    if max(abs(value.real), abs(value.imag)) > MAX_ENTRY:
+        raise _fail(path, f"magnitude above {MAX_ENTRY:g}")
     return value
 
 
@@ -193,7 +198,9 @@ def _matrix_from(obj, complex_scalars: bool, path: str,
     if not isinstance(obj, list) or not obj:
         raise _fail(path, "expected a non-empty list of rows")
     fast = _bulk_matrix(obj, complex_scalars, cols)
-    if fast is not None and np.isfinite(fast).all():
+    # NaN fails the comparison too, so every refused entry takes the
+    # per-entry path for its message
+    if fast is not None and (np.abs(fast.view(np.float64)) <= MAX_ENTRY).all():
         return fast
     rows = []
     width = None
@@ -225,6 +232,8 @@ def _family_from(obj, dim: int, complex_scalars: bool,
             weight = float(entry["weight"])
         except (KeyError, TypeError, ValueError, OverflowError):
             raise _fail(f"{path}[{i}].weight", "missing or non-numeric") from None
+        if abs(weight) > MAX_ENTRY:
+            raise _fail(f"{path}[{i}].weight", f"magnitude above {MAX_ENTRY:g}")
         vectors = _matrix_from(
             entry.get("basis"), complex_scalars, f"{path}[{i}].basis", cols=dim
         )

@@ -9,10 +9,18 @@ prediction brackets reality:
     predicted.lower <= actual.lower * (1 + 1e-8)
     actual.upper    <= predicted.upper * (1 + 1e-8)
 
-Hypotheses quantified over all vectors are checked on a grid: every
-eigenvector of every quadratic form appearing on either side of the
-inequality, plus 500 seeded random unit vectors.  Reports carry the seed
-used, so any run can be replayed.
+The perturbation hypotheses (lem4.1, thm4.4.*, thm4.6, thm4.7) are
+pointwise inequalities sqrt<f, L f> <= sum_j c_j sqrt<f, R_j f> between
+PSD forms.  With at most one nonzero constant c the inequality holds for
+every f exactly when L <= c^2 R (Douglas' majorization lemma), and the
+optimal constant 1/sqrt(max_psd_scale(R, L)) decides it: the report's
+notes say ``hypothesis_certificate: "exact"``.  A rejection then carries
+a witness vector's violation as its residual.  Otherwise, and in the
+narrow band where neither the certificate nor a witness decides, the
+inequality is checked on a grid: every eigenvector of every form on
+either side, plus 500 seeded random unit vectors, and the certificate is
+"sampled".  prop4.5 is always grid-checked.  Reports carry the seed used,
+so any run can be replayed.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .errors import (
     AdmissibilityFailed,
     DimensionMismatch,
     HypothesisFailed,
+    OracleMismatch,
     ZeroDrazin,
 )
 from ._rng import random_unit_vectors
@@ -45,6 +54,7 @@ from .numerics import (
     as_matrix,
     douglas_check,
     drazin,
+    hermitian_eig,
     hermitian_part,
     max_psd_scale,
     operator_norm,
@@ -409,16 +419,121 @@ def _verify_pointwise(lhs: np.ndarray, rhs: np.ndarray, tol: float,
     return worst
 
 
+Side = np.ndarray | WeightedSubspaceFamily
+
+
+def _side_factor(side: Side) -> np.ndarray:
+    """X whose ||X* f|| is the side's norm; a family gives its synthesis
+    matrix T, with ||T* f||^2 = <f, S_W f>."""
+    if isinstance(side, WeightedSubspaceFamily):
+        return fusion_synthesis_matrix(side)
+    return side
+
+
+def _side_form(side: Side) -> np.ndarray:
+    """The PSD form X X* of a side: S_W for a family."""
+    if isinstance(side, WeightedSubspaceFamily):
+        return fusion_operator(side)
+    return hermitian_part(side @ side.conj().T)
+
+
+def _side_norms(side: Side, cols: np.ndarray) -> np.ndarray:
+    return _col_norms(_side_factor(side).conj().T @ cols)
+
+
+def _pencil_witness(left: np.ndarray, side: Side, right_eig, c: float) -> float:
+    """Largest violation ||X* f|| - c ||Y* f|| over two unit candidates:
+    the top vector of the pencil X X* g = mu Y Y* g compressed to
+    range(Y Y*), and the top vector of X X* on the numerical kernel of
+    Y Y*, where X X* leaks out of that range."""
+    left_form = _side_form(left)
+    w, v = right_eig.eigenvalues, right_eig.eigenvectors
+    keep = w > RANK_TOL * max(float(w[-1]), 0.0)
+    bases = [v[:, ~keep], v[:, keep] / np.sqrt(w[keep])]
+    candidates = [
+        b @ np.linalg.eigh(hermitian_part(b.conj().T @ left_form @ b))[1][:, -1]
+        for b in bases if b.shape[1]
+    ]
+    cols = np.stack(candidates, axis=1)
+    cols = cols / _col_norms(cols)
+    return float((_side_norms(left, cols) - c * _side_norms(side, cols)).max())
+
+
+def _exact_hypothesis(left: np.ndarray, terms: Sequence[tuple[float, Side]],
+                      tol: float, clause: str) -> float | None:
+    """Decide ||X* f|| <= sum_j c_j ||Y_j* f|| for all f, X = ``left``,
+    when at most one c_j is nonzero; None when it cannot.
+
+    With L = X X* and R = Y Y*: with no nonzero term the largest violation
+    over unit f is sqrt(lambda_max(L)), attained at L's top eigenvector.
+    With one, c_opt = 1/sqrt(max_psd_scale(R, L)) is the least constant
+    that holds (Douglas), so the violation is at most (c_opt - c)
+    sqrt(lambda_max(R)): at most ``tol`` accepts and returns that bound.
+    Otherwise a witness violating by more than ``tol`` rejects, and no
+    witness leaves the decision to the grid.
+    """
+    active = [(c, side) for c, side in terms if c != 0.0]
+    if len(active) > 1:
+        return None
+    left_form = _side_form(left)
+    if not active:
+        top = math.sqrt(max(float(np.linalg.eigvalsh(left_form)[-1]), 0.0))
+        if top > tol:
+            raise HypothesisFailed(clause, top)
+        return top
+    c, side = active[0]
+    right = _side_form(side)
+    right_eig = (side.fusion_eig if isinstance(side, WeightedSubspaceFamily)
+                 else hermitian_eig(right))
+    try:
+        scale = max_psd_scale(right, left_form, sw_eig=right_eig)
+    except OracleMismatch:
+        scale = 0.0  # no certified constant: only a witness can decide
+    if scale > 0.0:
+        right_top = math.sqrt(max(float(right_eig.eigenvalues[-1]), 0.0))
+        bound = (1.0 / math.sqrt(scale) - c) * right_top
+        if bound <= tol:
+            return bound
+    violation = _pencil_witness(left, side, right_eig, c)
+    if violation > tol:
+        raise HypothesisFailed(clause, violation)
+    return None
+
+
+def _check_hypothesis(left: np.ndarray, terms: Sequence[tuple[float, Side]],
+                      tol: float, clause: str, seed: int) -> tuple[float, str]:
+    """Check ||X* f|| <= sum_j c_j ||Y_j* f|| for all f, X = ``left``.
+
+    ``terms`` pairs each constant with its factor Y_j, or with a family,
+    which stands for its synthesis matrix.  Returns the residual, the
+    largest violation (certified or sampled), and the certificate kind,
+    "exact" or "sampled"; raises HypothesisFailed with ``clause`` when the
+    inequality fails beyond ``tol``.
+    """
+    exact = _exact_hypothesis(left, terms, tol, clause)
+    if exact is not None:
+        return exact, "exact"
+    sides = [side for _, side in terms]
+    forms = [side if isinstance(side, WeightedSubspaceFamily) else _side_form(side)
+             for side in sides]
+    cols = _grid(left.shape[0], [_side_form(left)] + forms, seed,
+                 _has_imag(left, *map(_side_factor, sides)))
+    rhs = sum(c * _side_norms(side, cols) for c, side in terms if c)
+    return _verify_pointwise(_side_norms(left, cols), rhs, tol, clause), "sampled"
+
+
 def check_operator_perturbation(family: WeightedSubspaceFamily, k1, k2,
                                 constants: PerturbationConstants,
                                 tol: float = DEFAULT_TOL,
                                 seed: int = 0) -> TheoremReport:
     """Stability of the lower bound under a relative operator perturbation.
 
-    Hypothesis (checked on the grid): ||(K1* - K2*) f|| <= a ||K1* f|| +
-    b ||K2* f|| with b < 1.  Predicted: the family is a K2-fusion frame with
-    lower bound A ((1-b)/(1+a))^2 and unchanged upper bound.  When both a
-    and b are below one the reverse transfer is checked as a sub-report.
+    Hypothesis: ||(K1* - K2*) f|| <= a ||K1* f|| + b ||K2* f|| with b < 1,
+    exactly decided as D D* <= a^2 K1 K1* (D = K1 - K2) when b = 0, or the
+    same with K2 when a = 0; grid-checked when both are nonzero.
+    Predicted: the family is a K2-fusion frame with lower bound
+    A ((1-b)/(1+a))^2 and unchanged upper bound.  When both a and b are
+    below one the reverse transfer is checked as a sub-report.
     """
     k1 = as_matrix(k1)
     k2 = as_matrix(k2)
@@ -430,19 +545,9 @@ def check_operator_perturbation(family: WeightedSubspaceFamily, k1, k2,
         raise AdmissibilityFailed("this hypothesis has no c-term")
     if b >= 1.0:
         raise AdmissibilityFailed(f"b = {b} must be below 1")
-    diff = k1 - k2
-    forms = [
-        hermitian_part(diff @ diff.conj().T),
-        hermitian_part(k1 @ k1.conj().T),
-        hermitian_part(k2 @ k2.conj().T),
-        family,
-    ]
-    cols = _grid(n, forms, seed, _has_imag(k1, k2, fusion_operator(family)))
-    lhs = _col_norms(diff.conj().T @ cols)
-    n1 = _col_norms(k1.conj().T @ cols)
-    n2 = _col_norms(k2.conj().T @ cols)
-    violation = _verify_pointwise(
-        lhs, a * n1 + b * n2, tol, "perturbation inequality fails on the grid"
+    violation, certificate = _check_hypothesis(
+        k1 - k2, [(a, k1), (b, k2)], tol,
+        "perturbation inequality fails on the grid", seed,
     )
     base = KFusionInstance(family, k1)
     lower1 = _require_k_fusion(base, "the family")
@@ -455,7 +560,8 @@ def check_operator_perturbation(family: WeightedSubspaceFamily, k1, k2,
     actual = FrameBounds(lower2, upper, "optimal")
     parts: tuple[TheoremReport, ...] = ()
     notes: dict[str, object] = {
-        "k2_is_identity": bool(operator_norm(k2 - np.eye(n)) <= 1e-12)
+        "k2_is_identity": bool(operator_norm(k2 - np.eye(n)) <= 1e-12),
+        "hypothesis_certificate": certificate,
     }
     if a < 1.0 and lower2 > 0.0:
         reverse_factor = ((1.0 - a) / (1.0 + b)) ** 2
@@ -483,11 +589,6 @@ def _member_diffs(ww: WeightedSubspaceFamily,
     ]
 
 
-def _pair_lhs(grams: Sequence[np.ndarray], cols: np.ndarray) -> np.ndarray:
-    """sqrt(sum_i ||(w_i P_i - v_i Q_i) f||^2) from the forms d_i d_i*."""
-    return np.sqrt(_form_values(sum(grams), cols))
-
-
 def _member_energies(family: WeightedSubspaceFamily,
                      cols: np.ndarray) -> np.ndarray:
     """Rows v_i^2 ||P_{W_i} f||^2 per member: the analysis product T* f,
@@ -507,13 +608,17 @@ def check_projection_perturbation(ww: WeightedSubspaceFamily,
                                   seed: int = 0) -> TheoremReport:
     """Bound transfer between two families under a blockwise perturbation.
 
-    Hypothesis (grid-checked): the blockwise deviation is controlled by
-    a, b and a c-term whose norm is selected by ``lam``:
+    Hypothesis: the blockwise deviation sqrt(sum_i ||(w_i P_i - v_i Q_i)
+    f||^2) is at most a sqrt<f, S_W f> + b sqrt<f, S_V f> plus a c-term
+    whose norm is selected by ``lam``:
 
         ZERO        no c-term; target bounds for any K with
                     range(K) <= range of the target synthesis map
         K_STAR_NORM c ||K* f||; K-relative bounds on both sides
         PLAIN_NORM  c ||f||; plain fusion bounds on both sides
+
+    With one nonzero constant it is decided exactly as a PSD pencil test
+    against S_W, S_V, K K* or I; with more it is grid-checked.
     """
     if len(ww) != len(vv):
         raise DimensionMismatch("families must pair members one-to-one")
@@ -525,37 +630,28 @@ def check_projection_perturbation(ww: WeightedSubspaceFamily,
     if k_mat is not None and k_mat.shape != (n, n):
         raise DimensionMismatch("operator must be square on the ambient space")
 
-    s_w = fusion_operator(ww)
-    s_v = fusion_operator(vv)
-    grams = [hermitian_part(d @ d.conj().T) for d in _member_diffs(ww, vv)]
-    forms = [ww, vv] + grams
-    if k_mat is not None:
-        forms.append(hermitian_part(k_mat @ k_mat.conj().T))
-    cols = _grid(n, forms, seed, _has_imag(s_w, s_v, *forms[2:]))
-    lhs = _pair_lhs(grams, cols)
-    en_w = np.sqrt(_form_values(s_w, cols))
-    en_v = np.sqrt(_form_values(s_v, cols))
-    plain = _col_norms(cols)
+    terms: list[tuple[float, Side]] = [(a, ww), (b, vv)]
     if lam is LambdaKind.ZERO:
-        c_term = np.zeros(cols.shape[1])
         if c != 0.0:
             raise AdmissibilityFailed("lambda kind 'zero' requires c = 0")
     elif lam is LambdaKind.K_STAR_NORM:
         if k_mat is None:
             raise ValueError("lambda kind 'k_star_norm' requires an operator")
-        c_term = c * _col_norms(k_mat.conj().T @ cols)
+        terms.append((c, k_mat))
     else:
-        c_term = c * plain
-    violation = _verify_pointwise(
-        lhs, a * en_w + b * en_v + c_term, tol,
-        "blockwise perturbation inequality fails on the grid",
+        terms.append((c, np.eye(n, dtype=np.complex128)))
+    # the d_i are Hermitian: ||d_i f|| = ||d_i* f||
+    violation, certificate = _check_hypothesis(
+        np.hstack(_member_diffs(ww, vv)), terms, tol,
+        "blockwise perturbation inequality fails on the grid", seed,
     )
     residuals = {"hypothesis_violation": violation}
+    notes: dict[str, object] = {"hypothesis_certificate": certificate}
 
     if lam is LambdaKind.ZERO:
         if b >= 1.0:
             raise AdmissibilityFailed(f"b = {b} must be below 1")
-        target_k = k_mat if k_mat is not None else s_v
+        target_k = k_mat if k_mat is not None else fusion_operator(vv)
         doug = douglas_check(target_k, fusion_synthesis_matrix(vv))
         if not doug.range_included:
             raise AdmissibilityFailed(
@@ -568,7 +664,7 @@ def check_projection_perturbation(ww: WeightedSubspaceFamily,
         )
         target_lower = k_lower_bound(KFusionInstance(vv, target_k))
         actual = FrameBounds(target_lower, fusion_bounds(vv).upper, "optimal")
-        notes = {
+        notes |= {
             "existence_required": True,
             "flagged_upper_constant": True,
             "alternative_upper": math.sqrt(upper_w)
@@ -603,7 +699,8 @@ def check_projection_perturbation(ww: WeightedSubspaceFamily,
             fusion_bounds(vv).upper,
             "optimal",
         )
-        return _bracket_report("thm4.4.2", predicted, actual, residuals, seed)
+        return _bracket_report("thm4.4.2", predicted, actual, residuals, seed,
+                               notes)
 
     bounds_w = fusion_bounds(ww)
     lower_w, upper_w = bounds_w.lower, bounds_w.upper
@@ -622,7 +719,8 @@ def check_projection_perturbation(ww: WeightedSubspaceFamily,
     )
     bounds_v = fusion_bounds(vv)
     actual = FrameBounds(bounds_v.lower, bounds_v.upper, "optimal")
-    return _bracket_report("thm4.4.3", predicted, actual, residuals, seed)
+    return _bracket_report("thm4.4.3", predicted, actual, residuals, seed,
+                           notes)
 
 
 def check_quadratic_perturbation(ww: WeightedSubspaceFamily,
@@ -715,8 +813,10 @@ def check_synthesis_perturbation(ww: WeightedSubspaceFamily,
                                  seed: int = 0) -> TheoremReport:
     """Bounds for a reduced family whose Gram synthesis approximates K*.
 
-    Hypothesis (grid-checked), with T the synthesis map of the family minus
-    the erased members: ||(K* - T T*) f|| <= a ||K* f|| + b ||T* f|| + c ||f||.
+    Hypothesis, with T the synthesis map of the family minus the erased
+    members: ||(K* - T T*) f|| <= a ||K* f|| + b ||T* f|| + c ||f||.  With
+    one nonzero constant it is decided exactly as a PSD pencil test against
+    K K*, T T* or I; with more it is grid-checked.
 
     Plain variant (c = 0, a < 1): the reduced family is a K-fusion frame on
     the whole space with lower bound ((1-a)/(b+||T||))^2 and the full
@@ -746,17 +846,10 @@ def check_synthesis_perturbation(ww: WeightedSubspaceFamily,
         if a >= 1.0:
             raise AdmissibilityFailed(f"a = {a} must be below 1")
     deviation = k_mat.conj().T - s_red
-    gram = hermitian_part(k_mat @ k_mat.conj().T)
-    forms = [hermitian_part(deviation.conj().T @ deviation), gram, reduced]
-    cols = _grid(n, forms, seed, _has_imag(k_mat, s_red))
-    lhs = _col_norms(deviation @ cols)
-    rhs = (
-        a * _col_norms(k_mat.conj().T @ cols)
-        + b * np.sqrt(_form_values(s_red, cols))
-        + c * _col_norms(cols)
-    )
-    violation = _verify_pointwise(
-        lhs, rhs, tol, "synthesis deviation inequality fails on the grid"
+    violation, certificate = _check_hypothesis(
+        deviation.conj().T,
+        [(a, k_mat), (b, reduced), (c, np.eye(n, dtype=np.complex128))],
+        tol, "synthesis deviation inequality fails on the grid", seed,
     )
     residuals = {"hypothesis_violation": violation}
     upper_full = fusion_bounds(ww).upper
@@ -766,7 +859,8 @@ def check_synthesis_perturbation(ww: WeightedSubspaceFamily,
         predicted = FrameBounds(ratio * ratio, upper_full, "predicted")
         actual_lower, actual_upper = _compressed_pencil(reduced, k_mat)
         actual = FrameBounds(actual_lower, actual_upper, "optimal")
-        notes = {"unsquared_lower": ratio, "squared_lower": ratio * ratio}
+        notes = {"unsquared_lower": ratio, "squared_lower": ratio * ratio,
+                 "hypothesis_certificate": certificate}
         return _bracket_report(
             "thm4.7", predicted, actual, residuals, seed, notes
         )
@@ -774,4 +868,5 @@ def check_synthesis_perturbation(ww: WeightedSubspaceFamily,
     predicted = FrameBounds(ratio * ratio, upper_full, "predicted")
     lower = k_lower_bound(KFusionInstance(reduced, k_mat))
     actual = FrameBounds(lower, fusion_bounds(reduced).upper, "optimal")
-    return _bracket_report("thm4.6", predicted, actual, residuals, seed)
+    return _bracket_report("thm4.6", predicted, actual, residuals, seed,
+                           {"hypothesis_certificate": certificate})

@@ -5,7 +5,16 @@ import json
 
 import pytest
 
+import framekit.cli
 from framekit.cli import main
+from framekit.errors import (
+    DimensionMismatch,
+    IllConditionedSplit,
+    NotHermitian,
+    NotPSD,
+    NotSquare,
+    OracleMismatch,
+)
 from framekit.instances import GenSpec, build_instance
 from framekit.serialize import dumps_instance, loads_instance
 
@@ -177,6 +186,68 @@ class TestCheck:
                                                    theorem, scenario, edit):
         code, err = self.check_edited(tmp_path, capsys, theorem, scenario, edit)
         assert code == 3 and "config error:" in err
+
+    @pytest.mark.parametrize("theorem, scenario, scalar, keys, field", [
+        ("thm3.4", "duplicated_axes", "complex", ("operators", "K"),
+         "operators.K[0][0]"),
+        ("lem4.1", "additive", "complex", ("operators", "K1"),
+         "operators.K1[0][0]"),
+        ("lem4.1", "additive", "real", ("operators", "K1"), "operators.K1[0][0]"),
+        ("thm4.6", "parseval_exact", "real", ("members", 0, "basis"),
+         "members[0].basis[0][0]"),
+    ])
+    def test_entry_above_magnitude_limit_exits_three(self, tmp_path, capsys,
+                                                     theorem, scenario, scalar,
+                                                     keys, field):
+        # finite, but K K* and D D* would overflow
+        inst = build_instance(theorem, GenSpec(5, 4, scenario, {"scalar": scalar}))
+        obj = json.loads(dumps_instance(inst))
+        matrix = obj
+        for key in keys:
+            matrix = matrix[key]
+        matrix[0][0] = [1e200, 0.0] if obj["scalar"] == "complex" else 1e200
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(obj))
+        assert main(["check", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert f"config error: {field}: magnitude above 1e+100" in err
+
+    def test_weight_above_magnitude_limit_exits_three(self, tmp_path, capsys):
+        code, err = self.check_edited(
+            tmp_path, capsys, "thm4.6", "scaled_synthesis",
+            lambda obj: obj["members"][1].update(weight=1e200),
+        )
+        assert code == 3
+        assert "config error: members[1].weight: magnitude above 1e+100" in err
+
+    @pytest.mark.parametrize("error", [
+        OracleMismatch, NotHermitian, NotPSD, IllConditionedSplit,
+        DimensionMismatch, NotSquare,
+    ])
+    def test_numerical_refusal_exits_three(self, tmp_path, capsys, monkeypatch,
+                                           error):
+        def refuse(*args, **kwargs):
+            raise error("refused")
+
+        monkeypatch.setattr(framekit.cli, "check_instance", refuse)
+        path = write_instance(tmp_path, "lem4.1", "additive")
+        assert main(["check", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"framekit: {error.__name__}: refused\n"
+
+    @pytest.mark.parametrize("theorem, scenario, certificate", [
+        ("lem4.1", "additive", "exact"),
+        ("thm4.4.2", "rotation", "exact"),
+        ("thm4.6", "scaled_synthesis", "exact"),
+        ("thm4.7", "shifted_synthesis", "sampled"),
+    ])
+    def test_report_notes_carry_the_certificate(self, tmp_path, theorem,
+                                                 scenario, certificate):
+        path = write_instance(tmp_path, theorem, scenario)
+        out = tmp_path / "reports.json"
+        assert main(["check", str(path), "--out", str(out)]) == 0
+        notes = json.loads(out.read_text())[0]["notes"]
+        assert notes["hypothesis_certificate"] == certificate
 
 
 class TestSuite:

@@ -298,8 +298,9 @@ class TestCertifyPsdScale:
         def skewed(m):
             w = eigvalsh(m)
             calls.append(m.shape)
-            # the first eigvalsh call yields the closed form's mu
-            return w * (1.0 + 1e-6) if len(calls) == 1 else w
+            # the first eigvalsh call reads G's spectrum, the second
+            # yields the closed form's mu
+            return w * (1.0 + 1e-6) if len(calls) == 2 else w
 
         monkeypatch.setattr(np.linalg, "eigvalsh", skewed)
         with pytest.raises(OracleMismatch):

@@ -5,6 +5,7 @@ worked out by hand, followed by rejection tests for broken hypotheses and
 a few randomized bracketing sweeps with certified constants.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,16 +22,23 @@ from framekit.errors import (
 from framekit.frame_core import WeightedSubspaceFamily, fusion_bounds, fusion_operator
 from framekit.instances import GenSpec, build_instance, check_instance
 from framekit.kfusion import KFusionInstance, k_lower_bound
-from framekit.numerics import Subspace, hermitian_part, projector, quadratic_forms
+from framekit.numerics import (
+    Subspace,
+    hermitian_eig,
+    hermitian_part,
+    projector,
+    psd_scale_bisection,
+    quadratic_forms,
+)
 from framekit.theorems import (
     GRID_SAMPLES,
     LambdaKind,
     PerturbationConstants,
-    _form_values,
+    _exact_hypothesis,
     _grid,
     _member_diffs,
     _member_energies,
-    _pair_lhs,
+    _side_norms,
     check_drazin,
     check_erasure,
     check_image_under_k,
@@ -550,7 +558,9 @@ class TestGrid:
                  for d in _member_diffs(inst.family, inst.family_v)]
         assert not any(np.any(g) for g in grams)
         cols = _grid(12, [inst.family, inst.family_v] + grams, 5, False)
-        assert np.array_equal(_pair_lhs(grams, cols), np.zeros(cols.shape[1]))
+        assert np.array_equal(
+            _side_norms(np.hstack(_member_diffs(inst.family, inst.family_v)), cols),
+            np.zeros(cols.shape[1]))
 
 
 class TestGridSides:
@@ -572,14 +582,13 @@ class TestGridSides:
 
         diffs = _member_diffs(ww, vv)
         old_pair = sum(np.sum(np.abs(d @ cols) ** 2, axis=0) for d in diffs)
-        grams = [hermitian_part(d @ d.conj().T) for d in diffs]
         scale = sum((w + v) ** 2 for (_, w), (_, v) in pairs)
-        np.testing.assert_allclose(_pair_lhs(grams, cols) ** 2, old_pair,
+        np.testing.assert_allclose(_side_norms(np.hstack(diffs), cols) ** 2, old_pair,
                                    rtol=0, atol=1e-12 * scale)
 
         old_energy = sum(w * w * np.sum(np.abs(s.basis.conj().T @ cols) ** 2, axis=0)
                          for s, w in ww.members)
-        np.testing.assert_allclose(_form_values(fusion_operator(ww), cols),
+        np.testing.assert_allclose(_side_norms(ww, cols) ** 2,
                                    old_energy, rtol=0,
                                    atol=1e-12 * sum(w * w for w in ww.weights))
 
@@ -607,13 +616,166 @@ class TestGridEigensolves:
 
     @pytest.mark.parametrize("theorem, scenario, others", [
         ("thm4.4.3", "rotation", 0),
-        ("prop4.5", "rotation", 2),  # the G of two k_lower_bound calls
+        # the G of its two k_lower_bound calls is read by eigvalsh, not eigh
+        ("prop4.5", "rotation", 0),
     ])
     def test_pair_check_makes_one_grid_eigh_call(self, monkeypatch, theorem,
                                                  scenario, others):
         inst = build_instance(theorem, GenSpec(7, 10, scenario))
+        if inst.constants is not None:
+            # a second nonzero constant sends thm4.4.3 past the exact
+            # one-term test to the grid
+            inst = dataclasses.replace(inst, constants=PerturbationConstants(
+                inst.constants.a, 0.01))
         inst.family.fusion_eig, inst.family_v.fusion_eig  # fill the caches
         calls = self.count_eighs(monkeypatch)
         assert check_instance(inst).passed
         stacked = [shape for shape in calls if len(shape) == 3]
         assert len(stacked) == 1 and len(calls) == 1 + others
+
+    def test_one_term_pair_check_makes_no_eigh_call(self, monkeypatch):
+        inst = build_instance("thm4.4.3", GenSpec(7, 10, "rotation"))
+        inst.family.fusion_eig, inst.family_v.fusion_eig  # fill the caches
+        calls = self.count_eighs(monkeypatch)
+        report = check_instance(inst)
+        assert report.passed
+        assert report.notes["hypothesis_certificate"] == "exact"
+        assert calls == []
+
+
+def scaled_constants(inst, factor):
+    c = inst.constants
+    return dataclasses.replace(inst, constants=PerturbationConstants(
+        factor * c.a, factor * c.b, factor * c.c))
+
+
+class TestExactHypothesis:
+    """The one-term hypotheses are decided by the PSD pencil test."""
+
+    @pytest.mark.parametrize("factor", [0.8, 0.9])
+    @pytest.mark.parametrize("dim", [8, 16, 32])
+    def test_lem41_near_misses_are_rejected(self, dim, factor):
+        # a is the shipped ||G||, G = K1^-1 K2 - I, which D* f = G* K1* f
+        # attains: any smaller a is false
+        for seed in range(1000, 1040):
+            inst = build_instance("lem4.1", GenSpec(seed, dim, "additive"))
+            with pytest.raises(HypothesisFailed) as err:
+                check_instance(scaled_constants(inst, factor))
+            assert err.value.residual > 1e-9
+            assert err.value.clause == "perturbation inequality fails on the grid"
+
+    @pytest.mark.parametrize("theorem, scenario", [
+        ("lem4.1", "scale_down"),
+        ("lem4.1", "scale_up"),
+        ("thm4.6", "scaled_synthesis"),
+    ])
+    def test_tight_scenarios_are_accepted_exactly(self, theorem, scenario):
+        for seed in range(20):
+            inst = build_instance(theorem, GenSpec(seed, 2 + seed % 15, scenario))
+            report = check_instance(inst)
+            assert report.passed
+            assert report.notes["hypothesis_certificate"] == "exact"
+            assert report.residuals["hypothesis_violation"] <= 1e-9
+
+    def test_tight_scenarios_just_below_are_rejected(self):
+        for theorem, scenario in [("lem4.1", "scale_down"),
+                                  ("lem4.1", "scale_up"),
+                                  ("thm4.6", "scaled_synthesis")]:
+            inst = build_instance(theorem, GenSpec(4, 12, scenario))
+            with pytest.raises(HypothesisFailed):
+                check_instance(scaled_constants(inst, 0.99))
+
+    @pytest.mark.parametrize("theorem, scenario, certificate", [
+        ("lem4.1", "additive", "exact"),
+        ("thm4.4.1", "weight_shift", "exact"),
+        ("thm4.4.2", "rotation", "exact"),
+        ("thm4.4.3", "identical", "exact"),
+        ("thm4.6", "parseval_exact", "exact"),
+        ("thm4.7", "shifted_synthesis", "sampled"),  # two nonzero constants
+    ])
+    def test_certificate_is_reported(self, theorem, scenario, certificate):
+        report = check_instance(build_instance(theorem, GenSpec(2, 5, scenario)))
+        assert report.passed
+        assert report.notes["hypothesis_certificate"] == certificate
+
+    def test_lem41_check_draws_no_random_vectors(self, monkeypatch):
+        import framekit.kfusion
+        import framekit.theorems
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return random_unit_vectors(*args, **kwargs)
+
+        monkeypatch.setattr(framekit.theorems, "random_unit_vectors", counted)
+        monkeypatch.setattr(framekit.kfusion, "random_unit_vectors", counted)
+        inst = build_instance("lem4.1", GenSpec(1001, 32, "additive"))
+        assert check_instance(inst).passed
+        assert calls == []
+
+    @pytest.mark.parametrize("s, delta, accepted", [
+        (1e4, 1e-11, False),  # violation 1e-7
+        (1e-4, 1e-6, True),   # violation 1e-10
+    ])
+    def test_tol_bounds_the_violation_not_the_constant(self, s, delta, accepted):
+        # ||f|| <= c ||s f|| has c_opt = 1/s; c = c_opt - delta violates it
+        # by s delta at every unit f
+        x, y = np.eye(3), s * np.eye(3)
+        c = 1.0 / s - delta
+        if accepted:
+            assert _exact_hypothesis(x, [(c, y)], 1e-9, "clause") <= 1e-9
+        else:
+            with pytest.raises(HypothesisFailed) as err:
+                _exact_hypothesis(x, [(c, y)], 1e-9, "clause")
+            assert err.value.residual == pytest.approx(s * delta, rel=1e-3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 32),
+        complex_scalars=st.booleans(),
+        right_rank=st.sampled_from(["zero", "deficient", "full"]),
+        left_inside=st.booleans(),
+        factor=st.sampled_from([0.0, 0.5, 0.9, 0.999, 1.0, 1.001, 1.1, 2.0]),
+    )
+    def test_exact_rule_agrees_with_a_dense_probe(self, seed, dim, complex_scalars,
+                                                  right_rank, left_inside, factor):
+        rng = make_rng(seed)
+        rank = {"zero": 0, "deficient": max(dim - 1, 0) // 2, "full": dim}[right_rank]
+        y = gaussian_matrix(rng, dim, rank, complex_scalars)
+        right = hermitian_part(y @ y.conj().T)
+        if left_inside:
+            # range(L) inside range(R): a finite optimal constant exists
+            x = y @ gaussian_matrix(rng, rank, rank, complex_scalars)
+        else:
+            x = gaussian_matrix(rng, dim, int(rng.integers(1, dim + 1)),
+                                complex_scalars)
+        left = hermitian_part(x @ x.conj().T)
+        if not left_inside and rank < dim:
+            c_opt = math.inf  # a generic range(L) leaks out of range(R)
+        else:
+            # the independent oracle: the bisection threshold of R - t L >= 0
+            threshold = psd_scale_bisection(right, left)
+            c_opt = 0.0 if math.isinf(threshold) else 1.0 / math.sqrt(threshold)
+        c = factor * (c_opt if math.isfinite(c_opt) else 1.0)
+        tol = 1e-9
+        probe = np.hstack([
+            hermitian_eig(left).eigenvectors, hermitian_eig(right).eigenvectors,
+            random_unit_vectors(seed, dim, 2000, complex_scalars).T,
+        ])
+        probed = float((_side_norms(x, probe) - c * _side_norms(y, probe)).max())
+        try:
+            decided = _exact_hypothesis(x, [(c, y)], tol, "clause")
+        except HypothesisFailed as exc:
+            assert exc.residual > tol
+            # a refutation must be real: c lies below the oracle's constant
+            assert c < c_opt * (1.0 + 1e-6)
+            return
+        # a clearly false hypothesis is refuted, neither accepted nor deferred
+        assert c >= 0.99 * c_opt
+        if decided is not None:
+            assert probed <= tol
+            assert decided <= tol
+        if c > c_opt * (1.0 + 1e-6):
+            assert decided is not None  # clearly true: certified, not deferred
