@@ -5,7 +5,7 @@ hypothesis or admissibility precondition was rejected, 3 bad usage, an
 unreadable input, or an input the numerics refuse (not Hermitian, not
 PSD, an uncertifiable bound, an ill-conditioned split).  Suite JSON
 output is byte-identical across runs of the same version; timing lives
-only in the CSV summary and on stderr.
+only in the CSV (per row and in the TOTAL row) and on stderr.
 """
 
 from __future__ import annotations
@@ -14,16 +14,15 @@ import argparse
 import csv
 import io
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from pathlib import Path
 
 from ._rng import child_seed
 from .errors import FramekitError, HypothesisFailed, InvalidConfig
 from .instances import (
-    SCENARIOS,
+    REGISTRY,
     THEOREM_IDS,
     GenSpec,
     Instance,
@@ -70,7 +69,8 @@ def _build_parser() -> _Parser:
     suite.add_argument("--n-per-theorem", type=int, default=None)
     suite.add_argument("--seed", type=int, default=None)
     suite.add_argument("--tol", type=float, default=None)
-    suite.add_argument("--threads", type=int, default=None)
+    suite.add_argument("--threads", type=int, default=None,
+                       help="accepted for compatibility; the suite runs in one thread")
     suite.add_argument("--spoilers", action="store_true",
                        help="append the negative-control instances")
     suite.add_argument("--format", choices=("json", "csv"), default="json")
@@ -106,7 +106,7 @@ def _cmd_gen(args) -> int:
         raise InvalidConfig("--count must be at least 1")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cycle = SCENARIOS[args.theorem]
+    cycle = REGISTRY[args.theorem].scenarios
     for i in range(args.count):
         seed = args.seed if args.count == 1 else child_seed(args.seed, i)
         scenario = args.scenario or cycle[i % len(cycle)]
@@ -149,13 +149,14 @@ def _rows_to_csv(rows, summary=None) -> str:
 
 def _evaluate(inst: Instance, tol: float,
               fold_expectation: bool) -> tuple[dict, TheoremReport | None]:
-    """Run one instance.
+    """Run one instance; the row's ``wall_time_s`` is the time this took.
 
     With ``fold_expectation`` the row status is judged against the
     instance's declared expectation (suite semantics: an expected
     rejection counts as a pass).  Without it the raw outcome stands
     (check semantics: a rejection is a rejection).
     """
+    started = time.perf_counter()
     meta = inst.meta
     expect = meta.get("expect", "pass") if fold_expectation else "pass"
     row = {
@@ -170,24 +171,26 @@ def _evaluate(inst: Instance, tol: float,
         report = check_instance(inst, tol)
     except HypothesisFailed as exc:
         rejected_as_expected = expect == "hypothesis_failed"
+        report = None
         row.update({
             "status": "pass" if rejected_as_expected else "hypothesis_failed",
             "detail": f"{type(exc).__name__}: {exc.clause}",
         })
-        return row, None
-    outcome = "pass" if report.passed else "fail"
-    if expect == "hypothesis_failed":
-        outcome = "fail"
-        row["detail"] = "expected a hypothesis rejection, none was raised"
-    row.update({
-        "status": outcome,
-        "predicted_lower": report.predicted.lower,
-        "predicted_upper": report.predicted.upper,
-        "actual_lower": report.actual.lower,
-        "actual_upper": report.actual.upper,
-        "lower_margin": report.lower_margin,
-        "upper_margin": report.upper_margin,
-    })
+    else:
+        outcome = "pass" if report.passed else "fail"
+        if expect == "hypothesis_failed":
+            outcome = "fail"
+            row["detail"] = "expected a hypothesis rejection, none was raised"
+        row.update({
+            "status": outcome,
+            "predicted_lower": report.predicted.lower,
+            "predicted_upper": report.predicted.upper,
+            "actual_lower": report.actual.lower,
+            "actual_upper": report.actual.upper,
+            "lower_margin": report.lower_margin,
+            "upper_margin": report.upper_margin,
+        })
+    row["wall_time_s"] = time.perf_counter() - started
     return row, report
 
 
@@ -220,23 +223,6 @@ def _cmd_check(args) -> int:
         else:
             Path(args.out).write_text(_rows_to_csv(rows))
     return _exit_code(rows)
-
-
-def _thread_count(flag: int | None, n_tasks: int) -> int:
-    if flag is not None:
-        limit = flag
-    else:
-        env = os.environ.get("FRAMEKIT_THREADS", "").strip()
-        if env:
-            try:
-                limit = int(env)
-            except ValueError:
-                raise InvalidConfig(
-                    f"FRAMEKIT_THREADS must be an integer, got {env!r}"
-                ) from None
-        else:
-            limit = os.cpu_count() or 1
-    return max(1, min(limit, n_tasks))
 
 
 def _load_suite_config(path: str | None) -> dict:
@@ -284,31 +270,16 @@ def _cmd_suite(args) -> int:
     entries = list(default_suite_entries(n_per, base_seed))
     if spoilers:
         entries.extend(spoiler_suite_entries())
-    threads = _thread_count(
-        args.threads if args.threads is not None else config.get("threads"),
-        len(entries),
-    )
-    if threads == 1:
-        rows = [_evaluate(inst, tol, True)[0] for inst in entries]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = [
-                row for row, _ in pool.map(lambda inst: _evaluate(inst, tol, True), entries)
-            ]
+    rows = [_evaluate(inst, tol, True)[0] for inst in entries]
     elapsed = time.perf_counter() - started
 
     counts = {"pass": 0, "fail": 0, "hypothesis_failed": 0}
     for row in rows:
         counts[row["status"]] += 1
-    per_theorem: dict[str, list[int]] = {}
-    for row in rows:
-        bucket = per_theorem.setdefault(row["theorem"], [0, 0])
-        bucket[1] += 1
-        if row["status"] == "pass":
-            bucket[0] += 1
+    total = Counter(row["theorem"] for row in rows)
+    passed = Counter(row["theorem"] for row in rows if row["status"] == "pass")
     for tid in THEOREM_IDS:
-        passed, total = per_theorem.get(tid, (0, 0))
-        print(f"{tid}: {passed}/{total} pass")
+        print(f"{tid}: {passed[tid]}/{total[tid]} pass")
     print(
         f"suite: {len(rows)} instances, {counts['pass']} pass, "
         f"{counts['fail']} fail, {counts['hypothesis_failed']} rejected "

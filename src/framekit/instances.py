@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -38,59 +38,6 @@ from .theorems import (
     check_synthesis_perturbation,
 )
 
-THEOREM_IDS = (
-    "thm3.1",
-    "lem3.2",
-    "thm3.4",
-    "lem4.1",
-    "thm4.4.1",
-    "thm4.4.2",
-    "thm4.4.3",
-    "prop4.5",
-    "thm4.6",
-    "thm4.7",
-)
-
-SCENARIOS: Mapping[str, tuple[str, ...]] = {
-    "thm3.1": ("dressed_subset",),
-    "lem3.2": ("drazin_core", "invertible"),
-    "thm3.4": ("duplicated_axes",),
-    "lem4.1": ("scale_down", "scale_up", "additive", "to_identity"),
-    "thm4.4.1": ("identical", "weight_shift", "rotation", "weight_shift_with_k"),
-    "thm4.4.2": ("identical", "weight_shift", "rotation"),
-    "thm4.4.3": ("identical", "weight_shift", "rotation"),
-    "prop4.5": ("weight_shift", "rotation"),
-    "thm4.6": ("scaled_synthesis", "scaled_synthesis_b", "parseval_exact"),
-    "thm4.7": ("shifted_synthesis",),
-}
-
-SPOILERS: Mapping[str, str] = {
-    "thm3.1": "non_idempotent",
-    "lem3.2": "nilpotent",
-    "thm3.4": "erasure_overload",
-    "lem4.1": "false_constants",
-    "thm4.4.1": "inadmissible_b",
-    "thm4.4.2": "inadmissible_a",
-    "thm4.4.3": "false_constants",
-    "prop4.5": "budget_half",
-    "thm4.6": "understated",
-    "thm4.7": "inadmissible_a",
-}
-
-# instance fields each checker reads beyond ``members``, as field paths
-REQUIRED_FIELDS: Mapping[str, tuple[str, ...]] = {
-    "thm3.1": ("operators.K",),
-    "lem3.2": ("operators.K",),
-    "thm3.4": ("operators.K",),
-    "lem4.1": ("operators.K1", "operators.K2", "constants"),
-    "thm4.4.1": ("members_v", "constants"),
-    "thm4.4.2": ("members_v", "operators.K", "constants"),
-    "thm4.4.3": ("members_v", "constants"),
-    "prop4.5": ("members_v", "operators.K", "quadratic_bound"),
-    "thm4.6": ("operators.K", "constants"),
-    "thm4.7": ("operators.K", "constants"),
-}
-
 # sweep step and safety inflation for grid-certified constants; with ratio
 # functions 2-Lipschitz in the sweep parameter these guarantee
 # true <= certified <= 1.01 * true whenever true >= 0.1
@@ -101,10 +48,9 @@ __all__ = [
     "GenSpec",
     "Instance",
     "PerturbedPair",
-    "REQUIRED_FIELDS",
-    "SCENARIOS",
-    "SPOILERS",
+    "REGISTRY",
     "THEOREM_IDS",
+    "TheoremEntry",
     "build_instance",
     "check_instance",
     "default_suite_entries",
@@ -381,15 +327,6 @@ def _weight_shift_pair(fam: WeightedSubspaceFamily,
     )
 
 
-def _meta(theorem: str, spec: GenSpec, expect: str) -> dict:
-    return {
-        "theorem": theorem,
-        "seed": spec.seed,
-        "scenario": spec.scenario,
-        "expect": expect,
-    }
-
-
 def _scalar_kind(spec: GenSpec) -> bool:
     forced = spec.params.get("scalar")
     if forced is not None:
@@ -399,7 +336,15 @@ def _scalar_kind(spec: GenSpec) -> bool:
     return bool(spec.seed % 2)
 
 
-def _gen_image(spec: GenSpec, rng) -> Instance:
+def _scalar_name(cx: bool) -> str:
+    return "complex" if cx else "real"
+
+
+# Each generator below takes a spec whose scenario the registry has already
+# admitted for its theorem, draws everything from ``rng``, and returns the
+# Instance fields other than ``meta``.
+
+def _gen_image(spec: GenSpec, rng) -> dict:
     cx = _scalar_kind(spec)
     n = spec.dim
     u = random_unitary(rng, n, cx)
@@ -413,19 +358,11 @@ def _gen_image(spec: GenSpec, rng) -> Instance:
     k = u[:, covered] @ u[:, covered].conj().T
     if spec.scenario == "non_idempotent":
         k = 1.5 * k
-        expect = "hypothesis_failed"
-    elif spec.scenario == "dressed_subset":
-        expect = "pass"
-    else:
-        raise InvalidConfig(f"scenario {spec.scenario!r} unknown for thm3.1")
-    return Instance(
-        dim=n, scalar="complex" if cx else "real",
-        family=WeightedSubspaceFamily(n, members),
-        operators={"K": k}, meta=_meta("thm3.1", spec, expect),
-    )
+    return dict(dim=n, scalar=_scalar_name(cx),
+                family=WeightedSubspaceFamily(n, members), operators={"K": k})
 
 
-def _gen_drazin(spec: GenSpec, rng) -> Instance:
+def _gen_drazin(spec: GenSpec, rng) -> dict:
     cx = _scalar_kind(spec)
     n = spec.dim
     fam = spanning_family(rng, n, cx)
@@ -433,35 +370,21 @@ def _gen_drazin(spec: GenSpec, rng) -> Instance:
         index = int(spec.params.get("index", 1 + spec.seed % 3))
         index = max(1, min(index, n - 1))
         k = gen_operator(rng, n, "drazin_index", cx, index=index)
-        expect = "pass"
-    elif spec.scenario == "invertible":
-        k = gen_operator(rng, n, "invertible", cx)
-        expect = "pass"
-    elif spec.scenario == "nilpotent":
-        k = gen_operator(rng, n, "nilpotent", cx)
-        expect = "hypothesis_failed"
     else:
-        raise InvalidConfig(f"scenario {spec.scenario!r} unknown for lem3.2")
-    return Instance(
-        dim=n, scalar="complex" if cx else "real", family=fam,
-        operators={"K": k}, meta=_meta("lem3.2", spec, expect),
-    )
+        # the other scenarios, invertible and nilpotent, are operator kinds
+        k = gen_operator(rng, n, spec.scenario, cx)
+    return dict(dim=n, scalar=_scalar_name(cx), family=fam, operators={"K": k})
 
 
-def _gen_erasure(spec: GenSpec, rng) -> Instance:
+def _gen_erasure(spec: GenSpec, rng) -> dict:
     cx = _scalar_kind(spec)
     n = spec.dim
     if spec.scenario == "erasure_overload":
         # erasing a full axis of a Parseval family leaves no margin
         members = tuple((_axis(n, j), 1.0) for j in range(n))
         fam = WeightedSubspaceFamily(n, members)
-        return Instance(
-            dim=n, scalar="real", family=fam,
-            operators={"K": np.eye(n, dtype=np.complex128)},
-            erased=(0,), meta=_meta("thm3.4", spec, "hypothesis_failed"),
-        )
-    if spec.scenario != "duplicated_axes":
-        raise InvalidConfig(f"scenario {spec.scenario!r} unknown for thm3.4")
+        return dict(dim=n, scalar="real", family=fam,
+                    operators={"K": np.eye(n, dtype=np.complex128)}, erased=(0,))
     members = []
     for j in range(n):
         for _ in range(2):
@@ -474,89 +397,86 @@ def _gen_erasure(spec: GenSpec, rng) -> Instance:
     w_extra = math.sqrt(0.3 * lower) / dag_norm
     extra = random_subspace(rng, n, 1, cx)
     fam = WeightedSubspaceFamily(n, tuple(members) + ((extra, w_extra),))
-    return Instance(
-        dim=n, scalar="complex" if cx else "real", family=fam,
-        operators={"K": k}, erased=(len(members),),
-        meta=_meta("thm3.4", spec, "pass"),
-    )
+    return dict(dim=n, scalar=_scalar_name(cx), family=fam,
+                operators={"K": k}, erased=(len(members),))
 
 
-def _gen_operator_pert(spec: GenSpec, rng) -> Instance:
+def _gen_operator_pert(spec: GenSpec, rng) -> dict:
     cx = _scalar_kind(spec)
     n = spec.dim
     fam = spanning_family(rng, n, cx)
     k1, k2, constants = gen_operator_pair(rng, n, spec.scenario, cx)
-    expect = "hypothesis_failed" if spec.scenario == "false_constants" else "pass"
-    return Instance(
-        dim=n, scalar="complex" if cx else "real", family=fam,
-        operators={"K1": k1, "K2": k2}, constants=constants,
-        meta=_meta("lem4.1", spec, expect),
-    )
+    return dict(dim=n, scalar=_scalar_name(cx), family=fam,
+                operators={"K1": k1, "K2": k2}, constants=constants)
 
 
-def _pair_scenario(spec: GenSpec) -> str:
-    if spec.scenario in ("weight_shift_with_k",):
-        return "weight_shift"
-    if spec.scenario in ("inadmissible_a", "inadmissible_b"):
-        return "rotation" if spec.scenario == "inadmissible_a" else "weight_shift"
-    if spec.scenario in ("false_constants", "budget_half"):
-        return "weight_shift"
-    return spec.scenario
+_PAIR_BASES = ("identical", "weight_shift", "rotation")
 
 
-def _gen_pair_instance(theorem: str, spec: GenSpec, rng) -> Instance:
-    base_scenario = _pair_scenario(spec)
-    cx = _scalar_kind(spec) and base_scenario != "rotation"
-    n = spec.dim
-    pair = gen_perturbed_pair(rng, n, base_scenario, cx)
-    scalar = "complex" if cx else "real"
-    operators: dict[str, np.ndarray] = {}
+def _draw_pair(spec: GenSpec, rng, dressed: str = "weight_shift"):
+    """The scalar kind and perturbed pair a pair-theorem scenario starts from.
+
+    A scenario that is not itself a ``gen_perturbed_pair`` scenario dresses
+    the ``dressed`` one.  Rotation pairs are real only.
+    """
+    base = spec.scenario if spec.scenario in _PAIR_BASES else dressed
+    cx = _scalar_kind(spec) and base != "rotation"
+    return cx, gen_perturbed_pair(rng, spec.dim, base, cx)
+
+
+def _pair_fields(pair: PerturbedPair, cx: bool, **fields) -> dict:
+    return dict(dim=pair.source.ambient_dim, scalar=_scalar_name(cx),
+                family=pair.source, family_v=pair.target, **fields)
+
+
+def _gen_projection_zero(spec: GenSpec, rng) -> dict:
+    cx, pair = _draw_pair(spec, rng)
+    operators = {}
     constants = pair.constants
-    quad = None
-    expect = "pass"
+    if spec.scenario == "weight_shift_with_k":
+        mix = random_invertible(rng, spec.dim, cx)
+        operators["K"] = fusion_operator(pair.target) @ mix
+    elif spec.scenario == "inadmissible_b":
+        constants = PerturbationConstants(pair.constants.a, 1.5, 0.0)
+    return _pair_fields(pair, cx, operators=operators, constants=constants)
 
-    if theorem == "thm4.4.1":
-        if spec.scenario == "weight_shift_with_k":
-            mix = random_invertible(rng, n, cx)
-            operators["K"] = fusion_operator(pair.target) @ mix
-        if spec.scenario == "inadmissible_b":
-            constants = PerturbationConstants(pair.constants.a, 1.5, 0.0)
-            expect = "hypothesis_failed"
-    elif theorem == "thm4.4.2":
-        operators["K"] = random_unitary(rng, n, cx)
-        if base_scenario == "rotation":
-            constants = PerturbationConstants(0.0, 0.0, pair.c_constant)
-        if spec.scenario == "inadmissible_a":
-            constants = PerturbationConstants(1.2, 0.0, 0.0)
-            expect = "hypothesis_failed"
-    elif theorem == "thm4.4.3":
-        if spec.scenario == "false_constants":
-            constants = PerturbationConstants(0.0, 0.0, 0.0)
-            expect = "hypothesis_failed"
-    elif theorem == "prop4.5":
-        operators["K"] = random_unitary(rng, n, cx)
-        if base_scenario == "weight_shift":
-            pair = _shrink_budget(pair, operators["K"])
-        quad = pair.quadratic_bound
-        if spec.scenario == "budget_half":
-            # claim half the certified budget against a Parseval family
-            members = tuple((_axis(n, j), 1.0) for j in range(n))
-            fam = WeightedSubspaceFamily(n, members)
-            fracs = rng.uniform(0.05, 0.3, n)
-            pair = _weight_shift_pair(fam, fracs)
-            operators["K"] = np.eye(n, dtype=np.complex128)
-            quad = pair.quadratic_bound / 2.0
-            scalar = "real"
-            expect = "hypothesis_failed"
-        constants = None
-    else:
-        raise InvalidConfig(f"theorem {theorem!r} is not a pair theorem")
 
-    return Instance(
-        dim=n, scalar=scalar, family=pair.source, family_v=pair.target,
-        operators=operators, constants=constants, quadratic_bound=quad,
-        meta=_meta(theorem, spec, expect),
-    )
+def _gen_projection_k_star(spec: GenSpec, rng) -> dict:
+    cx, pair = _draw_pair(spec, rng, dressed="rotation")
+    k = random_unitary(rng, spec.dim, cx)
+    constants = pair.constants
+    if spec.scenario == "inadmissible_a":
+        constants = PerturbationConstants(1.2, 0.0, 0.0)
+    elif spec.scenario == "rotation":
+        constants = PerturbationConstants(0.0, 0.0, pair.c_constant)
+    return _pair_fields(pair, cx, operators={"K": k}, constants=constants)
+
+
+def _gen_projection_plain(spec: GenSpec, rng) -> dict:
+    cx, pair = _draw_pair(spec, rng)
+    constants = pair.constants
+    if spec.scenario == "false_constants":
+        constants = PerturbationConstants(0.0, 0.0, 0.0)
+    return _pair_fields(pair, cx, constants=constants)
+
+
+def _gen_quadratic(spec: GenSpec, rng) -> dict:
+    cx, pair = _draw_pair(spec, rng)
+    n = spec.dim
+    k = random_unitary(rng, n, cx)
+    if spec.scenario == "weight_shift":
+        pair = _shrink_budget(pair, k)
+    quad = pair.quadratic_bound
+    if spec.scenario == "budget_half":
+        # claim half the certified budget against a Parseval family
+        members = tuple((_axis(n, j), 1.0) for j in range(n))
+        fam = WeightedSubspaceFamily(n, members)
+        fracs = rng.uniform(0.05, 0.3, n)
+        pair = _weight_shift_pair(fam, fracs)
+        k = np.eye(n, dtype=np.complex128)
+        quad = pair.quadratic_bound / 2.0
+        cx = False
+    return _pair_fields(pair, cx, operators={"K": k}, quadratic_bound=quad)
 
 
 def _shrink_budget(pair: PerturbedPair, k: np.ndarray) -> PerturbedPair:
@@ -589,7 +509,20 @@ def _erasure_split(rng, dim: int, cx: bool) -> tuple[WeightedSubspaceFamily, tup
     return fam, erased
 
 
-def _gen_synthesis(theorem: str, spec: GenSpec, rng) -> Instance:
+def _reduced_synthesis(rng, dim: int, cx: bool):
+    """An erasure split, the kept members' frame operator and synthesis
+    norm, and a scale ``eps`` drawn for the operator built from them."""
+    fam, erased = _erasure_split(rng, dim, cx)
+    reduced = WeightedSubspaceFamily(
+        dim, tuple(m for i, m in enumerate(fam.members) if i not in set(erased))
+    )
+    s_red = fusion_operator(reduced)
+    t_norm = operator_norm(fusion_synthesis_matrix(reduced))
+    eps = float(_log_uniform(rng, 0.1, 0.8))
+    return fam, erased, s_red, t_norm, eps
+
+
+def _gen_synthesis(spec: GenSpec, rng) -> dict:
     cx = _scalar_kind(spec)
     n = spec.dim
     if spec.scenario == "parseval_exact":
@@ -598,119 +531,170 @@ def _gen_synthesis(theorem: str, spec: GenSpec, rng) -> Instance:
             (_axis(n, int(rng.integers(0, n))), float(_log_uniform(rng, 0.5, 1.5)))
             for _ in range(2)
         ]
-        fam = WeightedSubspaceFamily(n, tuple(members + extras))
-        erased = tuple(range(n, n + 2))
-        return Instance(
-            dim=n, scalar="real", family=fam,
-            operators={"K": np.eye(n, dtype=np.complex128)},
-            constants=PerturbationConstants(0.0, 0.0, 0.0), erased=erased,
-            meta=_meta("thm4.6", spec, "pass"),
-        )
-    fam, erased = _erasure_split(rng, n, cx)
-    reduced = WeightedSubspaceFamily(
-        n, tuple(m for i, m in enumerate(fam.members) if i not in set(erased))
+        return dict(dim=n, scalar="real",
+                    family=WeightedSubspaceFamily(n, tuple(members + extras)),
+                    operators={"K": np.eye(n, dtype=np.complex128)},
+                    constants=PerturbationConstants(0.0, 0.0, 0.0),
+                    erased=tuple(range(n, n + 2)))
+    fam, erased, s_red, t_norm, eps = _reduced_synthesis(rng, n, cx)
+    if spec.scenario == "scaled_synthesis":
+        constants = PerturbationConstants(eps / (1.0 + eps), 0.0)
+    elif spec.scenario == "scaled_synthesis_b":
+        constants = PerturbationConstants(0.0, eps * t_norm)
+    else:  # understated
+        eps = max(eps, 0.4)
+        constants = PerturbationConstants(eps / (2.0 * (1.0 + eps)), 0.0)
+    return dict(dim=n, scalar=_scalar_name(cx), family=fam,
+                operators={"K": (1.0 + eps) * s_red}, constants=constants,
+                erased=erased)
+
+
+def _gen_shifted_synthesis(spec: GenSpec, rng) -> dict:
+    cx = _scalar_kind(spec)
+    n = spec.dim
+    fam, erased, s_red, t_norm, eps = _reduced_synthesis(rng, n, cx)
+    gamma = float(_log_uniform(rng, 0.05, 0.3))
+    a = 1.2 if spec.scenario == "inadmissible_a" else 0.0
+    return dict(dim=n, scalar=_scalar_name(cx), family=fam,
+                operators={"K": (1.0 + eps) * s_red + gamma * np.eye(n)},
+                constants=PerturbationConstants(a, eps * t_norm, gamma),
+                erased=erased)
+
+
+@dataclass(frozen=True)
+class TheoremEntry:
+    """One statement of the paper, as framekit generates and checks it.
+
+    ``scenarios`` is the pass-scenario cycle the suite walks and
+    ``spoiler`` the one scenario built to be rejected.  ``generate(spec,
+    rng)`` returns the Instance fields other than ``meta``, and
+    ``check(inst, tol, seed)`` runs the theorem's checker.  ``required``
+    lists the instance fields the checker reads beyond ``members``, as
+    field paths.
+    """
+
+    scenarios: tuple[str, ...]
+    spoiler: str
+    generate: Callable[[GenSpec, np.random.Generator], dict]
+    check: Callable[[Instance, float, int], TheoremReport]
+    required: tuple[str, ...]
+
+
+# The checkers are public and may be swapped on this module (by a tracer,
+# say), so the adapters look them up by their module-global names when they
+# run and never bind them here.  The generators are private and are stored
+# as they are.
+
+def _k_instance(inst: Instance) -> KFusionInstance:
+    return KFusionInstance(inst.family, inst.operators["K"])
+
+
+def _check_projection(kind: LambdaKind):
+    return lambda inst, tol, seed: check_projection_perturbation(
+        inst.family, inst.family_v, inst.constants, kind,
+        k=inst.operators.get("K"), tol=tol, seed=seed,
     )
-    s_red = fusion_operator(reduced)
-    t_norm = operator_norm(fusion_synthesis_matrix(reduced))
-    eps = float(_log_uniform(rng, 0.1, 0.8))
-    if theorem == "thm4.6":
-        k = (1.0 + eps) * s_red
-        if spec.scenario == "scaled_synthesis":
-            constants = PerturbationConstants(eps / (1.0 + eps), 0.0)
-            expect = "pass"
-        elif spec.scenario == "scaled_synthesis_b":
-            constants = PerturbationConstants(0.0, eps * t_norm)
-            expect = "pass"
-        elif spec.scenario == "understated":
-            eps = max(eps, 0.4)
-            k = (1.0 + eps) * s_red
-            constants = PerturbationConstants(eps / (2.0 * (1.0 + eps)), 0.0)
-            expect = "hypothesis_failed"
-        else:
-            raise InvalidConfig(f"scenario {spec.scenario!r} unknown for thm4.6")
-        return Instance(
-            dim=n, scalar="complex" if cx else "real", family=fam,
-            operators={"K": k}, constants=constants, erased=erased,
-            meta=_meta("thm4.6", spec, expect),
-        )
-    if theorem == "thm4.7":
-        gamma = float(_log_uniform(rng, 0.05, 0.3))
-        k = (1.0 + eps) * s_red + gamma * np.eye(n)
-        constants = PerturbationConstants(0.0, eps * t_norm, gamma)
-        expect = "pass"
-        if spec.scenario == "inadmissible_a":
-            constants = PerturbationConstants(1.2, eps * t_norm, gamma)
-            expect = "hypothesis_failed"
-        elif spec.scenario != "shifted_synthesis":
-            raise InvalidConfig(f"scenario {spec.scenario!r} unknown for thm4.7")
-        return Instance(
-            dim=n, scalar="complex" if cx else "real", family=fam,
-            operators={"K": k}, constants=constants, erased=erased,
-            meta=_meta("thm4.7", spec, expect),
-        )
-    raise InvalidConfig(f"theorem {theorem!r} is not a synthesis theorem")
+
+
+def _check_synthesis(closed_range_variant: bool):
+    return lambda inst, tol, seed: check_synthesis_perturbation(
+        inst.family, inst.erased, inst.operators["K"], inst.constants, tol,
+        closed_range_variant=closed_range_variant, seed=seed,
+    )
+
+
+REGISTRY: Mapping[str, TheoremEntry] = {
+    "thm3.1": TheoremEntry(
+        ("dressed_subset",), "non_idempotent", _gen_image,
+        lambda inst, tol, seed: check_image_under_k(_k_instance(inst), tol, seed),
+        ("operators.K",),
+    ),
+    "lem3.2": TheoremEntry(
+        ("drazin_core", "invertible"), "nilpotent", _gen_drazin,
+        lambda inst, tol, seed: check_drazin(_k_instance(inst), tol, seed),
+        ("operators.K",),
+    ),
+    "thm3.4": TheoremEntry(
+        ("duplicated_axes",), "erasure_overload", _gen_erasure,
+        lambda inst, tol, seed: check_erasure(
+            _k_instance(inst), inst.erased, tol, seed),
+        ("operators.K",),
+    ),
+    "lem4.1": TheoremEntry(
+        ("scale_down", "scale_up", "additive", "to_identity"), "false_constants",
+        _gen_operator_pert,
+        lambda inst, tol, seed: check_operator_perturbation(
+            inst.family, inst.operators["K1"], inst.operators["K2"],
+            inst.constants, tol, seed),
+        ("operators.K1", "operators.K2", "constants"),
+    ),
+    "thm4.4.1": TheoremEntry(
+        _PAIR_BASES + ("weight_shift_with_k",), "inadmissible_b",
+        _gen_projection_zero, _check_projection(LambdaKind.ZERO),
+        ("members_v", "constants"),
+    ),
+    "thm4.4.2": TheoremEntry(
+        _PAIR_BASES, "inadmissible_a",
+        _gen_projection_k_star, _check_projection(LambdaKind.K_STAR_NORM),
+        ("members_v", "operators.K", "constants"),
+    ),
+    "thm4.4.3": TheoremEntry(
+        _PAIR_BASES, "false_constants",
+        _gen_projection_plain, _check_projection(LambdaKind.PLAIN_NORM),
+        ("members_v", "constants"),
+    ),
+    "prop4.5": TheoremEntry(
+        ("weight_shift", "rotation"), "budget_half", _gen_quadratic,
+        lambda inst, tol, seed: check_quadratic_perturbation(
+            inst.family, inst.family_v, inst.operators["K"],
+            inst.quadratic_bound, tol, seed),
+        ("members_v", "operators.K", "quadratic_bound"),
+    ),
+    "thm4.6": TheoremEntry(
+        ("scaled_synthesis", "scaled_synthesis_b", "parseval_exact"), "understated",
+        _gen_synthesis, _check_synthesis(closed_range_variant=False),
+        ("operators.K", "constants"),
+    ),
+    "thm4.7": TheoremEntry(
+        ("shifted_synthesis",), "inadmissible_a",
+        _gen_shifted_synthesis, _check_synthesis(closed_range_variant=True),
+        ("operators.K", "constants"),
+    ),
+}
+
+THEOREM_IDS = tuple(REGISTRY)
 
 
 def build_instance(theorem_id: str, spec: GenSpec) -> Instance:
-    """Materialize one seeded instance for a checker."""
-    rng = make_rng(spec.seed)
-    if theorem_id == "thm3.1":
-        return _gen_image(spec, rng)
-    if theorem_id == "lem3.2":
-        return _gen_drazin(spec, rng)
-    if theorem_id == "thm3.4":
-        return _gen_erasure(spec, rng)
-    if theorem_id == "lem4.1":
-        return _gen_operator_pert(spec, rng)
-    if theorem_id in ("thm4.4.1", "thm4.4.2", "thm4.4.3", "prop4.5"):
-        return _gen_pair_instance(theorem_id, spec, rng)
-    if theorem_id in ("thm4.6", "thm4.7"):
-        return _gen_synthesis(theorem_id, spec, rng)
-    raise InvalidConfig(f"theorem id {theorem_id!r} unknown")
+    """Materialize one seeded instance for a checker.
+
+    The scenario must be one of the theorem's pass scenarios or its
+    spoiler; the spoiler is the one expected to be rejected.
+    """
+    entry = REGISTRY.get(theorem_id)
+    if entry is None:
+        raise InvalidConfig(f"theorem id {theorem_id!r} unknown")
+    allowed = entry.scenarios + (entry.spoiler,)
+    if spec.scenario not in allowed:
+        raise InvalidConfig(
+            f"scenario {spec.scenario!r} unknown for {theorem_id}; "
+            f"expected one of {', '.join(allowed)}"
+        )
+    fields = entry.generate(spec, make_rng(spec.seed))
+    expect = "hypothesis_failed" if spec.scenario == entry.spoiler else "pass"
+    meta = {"theorem": theorem_id, "seed": spec.seed,
+            "scenario": spec.scenario, "expect": expect}
+    return Instance(**fields, meta=meta)
 
 
 def check_instance(inst: Instance, tol: float = 1e-9) -> TheoremReport:
-    """Dispatch an instance to its checker."""
-    tid = inst.meta.get("theorem")
-    seed = int(inst.meta.get("seed", 0))
-    ops = inst.operators
-    if tid == "thm3.1":
-        return check_image_under_k(KFusionInstance(inst.family, ops["K"]), tol, seed)
-    if tid == "lem3.2":
-        return check_drazin(KFusionInstance(inst.family, ops["K"]), tol, seed)
-    if tid == "thm3.4":
-        return check_erasure(
-            KFusionInstance(inst.family, ops["K"]), inst.erased, tol, seed
-        )
-    if tid == "lem4.1":
-        return check_operator_perturbation(
-            inst.family, ops["K1"], ops["K2"], inst.constants, tol, seed
-        )
-    if tid in ("thm4.4.1", "thm4.4.2", "thm4.4.3"):
-        kind = {
-            "thm4.4.1": LambdaKind.ZERO,
-            "thm4.4.2": LambdaKind.K_STAR_NORM,
-            "thm4.4.3": LambdaKind.PLAIN_NORM,
-        }[tid]
-        return check_projection_perturbation(
-            inst.family, inst.family_v, inst.constants, kind,
-            k=ops.get("K"), tol=tol, seed=seed,
-        )
-    if tid == "prop4.5":
-        return check_quadratic_perturbation(
-            inst.family, inst.family_v, ops["K"], inst.quadratic_bound, tol, seed
-        )
-    if tid == "thm4.6":
-        return check_synthesis_perturbation(
-            inst.family, inst.erased, ops["K"], inst.constants, tol,
-            closed_range_variant=False, seed=seed,
-        )
-    if tid == "thm4.7":
-        return check_synthesis_perturbation(
-            inst.family, inst.erased, ops["K"], inst.constants, tol,
-            closed_range_variant=True, seed=seed,
-        )
-    raise InvalidConfig(f"theorem id {tid!r} unknown")
+    """Run the checker of the instance's theorem.
+
+    ``meta.theorem`` must be a registered id: the decoder refuses any
+    other, and ``build_instance`` only stamps registered ones.
+    """
+    entry = REGISTRY[inst.meta["theorem"]]
+    return entry.check(inst, tol, int(inst.meta.get("seed", 0)))
 
 
 _SUITE_DIMS = (2, 3, 4, 5, 6, 8, 10, 12, 16)
@@ -720,8 +704,8 @@ def default_suite_entries(n_per_theorem: int = 20,
                           base_seed: int = 20260814) -> tuple[Instance, ...]:
     """The standard regression sweep: every theorem, mixed dims and scalars."""
     out = []
-    for t_index, tid in enumerate(THEOREM_IDS):
-        cycle = SCENARIOS[tid]
+    for t_index, (tid, entry) in enumerate(REGISTRY.items()):
+        cycle = entry.scenarios
         for j in range(n_per_theorem):
             seed = child_seed(base_seed, t_index * 100003 + j)
             dim = _SUITE_DIMS[(j + t_index) % len(_SUITE_DIMS)]
@@ -733,8 +717,8 @@ def default_suite_entries(n_per_theorem: int = 20,
 def spoiler_suite_entries(base_seed: int = 918273645) -> tuple[Instance, ...]:
     """One deliberately broken instance per theorem; all must be rejected."""
     out = []
-    for t_index, tid in enumerate(THEOREM_IDS):
+    for t_index, (tid, entry) in enumerate(REGISTRY.items()):
         seed = child_seed(base_seed, t_index)
         dim = _SUITE_DIMS[t_index % len(_SUITE_DIMS)]
-        out.append(build_instance(tid, GenSpec(seed, dim, SPOILERS[tid])))
+        out.append(build_instance(tid, GenSpec(seed, dim, entry.spoiler)))
     return tuple(out)

@@ -250,15 +250,24 @@ class Subspace:
         return range_basis(as_matrix(vectors), rank_tol)
 
 
-def range_basis(m, rank_tol: float = RANK_TOL) -> Subspace:
-    """Orthonormal basis of the numerical column space of ``m``."""
+def range_basis(m, rank_tol: float = RANK_TOL, *,
+                scale: float | None = None) -> Subspace:
+    """Orthonormal basis of the numerical column space of ``m``.
+
+    Singular values at or below ``rank_tol * scale`` are dropped, ``scale``
+    defaulting to the largest singular value of ``m``.  Pass an operator's
+    norm to judge the rank of an operator-image against the operator, so
+    that the image of an annihilated subspace stays trivial.
+    """
     m = as_matrix(m)
-    if m.shape[1] == 0:
+    if m.shape[1] == 0 or scale == 0.0:
         return Subspace.zero(m.shape[0])
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return Subspace.zero(m.shape[0])
-    keep = s > rank_tol * s[0]
+    if scale is None:
+        if s.size == 0 or s[0] <= 0.0:
+            return Subspace.zero(m.shape[0])
+        scale = s[0]
+    keep = s > rank_tol * scale
     return Subspace(m.shape[0], u[:, keep])
 
 

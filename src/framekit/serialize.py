@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .frame_core import FrameBounds, WeightedSubspaceFamily
-from .instances import REQUIRED_FIELDS, Instance
+from .instances import REGISTRY, Instance
 from .numerics import Subspace
 from .theorems import PerturbationConstants, TheoremReport
 
@@ -314,13 +314,17 @@ def obj_to_instance(obj) -> Instance:
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise _fail("meta.seed", "expected an integer")
     theorem = meta.get("theorem")
+    # a list or dict would not even hash; check_instance trusts this lookup
+    entry = REGISTRY.get(theorem) if isinstance(theorem, str) else None
+    if entry is None:
+        raise _fail("meta.theorem",
+                    f"expected one of {', '.join(REGISTRY)}, got {theorem!r}")
     present = {f"operators.{name}" for name in operators}
     present.update(key for key in ("members_v", "constants", "quadratic_bound")
                    if obj.get(key) is not None)
-    if isinstance(theorem, str):
-        for path in REQUIRED_FIELDS.get(theorem, ()):
-            if path not in present:
-                raise _fail(path, f"missing; {theorem} requires it")
+    for path in entry.required:
+        if path not in present:
+            raise _fail(path, f"missing; {theorem} requires it")
     try:
         return Instance(
             dim=dim, scalar=scalar, family=family, family_v=family_v,

@@ -50,7 +50,6 @@ from .frame_core import (
 from .kfusion import KFusionInstance, k_lower_bound
 from .numerics import (
     RANK_TOL,
-    Subspace,
     as_matrix,
     douglas_check,
     drazin,
@@ -201,15 +200,6 @@ def _form_values(form: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.maximum(quadratic_forms(form, cols), 0.0)
 
 
-def _scaled_range(product: np.ndarray, operator_scale: float) -> Subspace:
-    """Column space of an operator-image, truncated at the operator scale."""
-    if product.shape[1] == 0 or operator_scale == 0.0:
-        return Subspace.zero(product.shape[0])
-    u, sv, _ = np.linalg.svd(product, full_matrices=False)
-    keep = sv > RANK_TOL * operator_scale
-    return Subspace(product.shape[0], u[:, keep])
-
-
 def _require_k_fusion(inst: KFusionInstance, label: str) -> float:
     bound = k_lower_bound(inst)
     if bound == 0.0:
@@ -248,7 +238,7 @@ def check_image_under_k(inst: KFusionInstance, tol: float = DEFAULT_TOL,
     for s, w in family.members:
         # judge image rank against the operator scale, not the product's
         # own top singular value, so annihilated members stay trivial
-        image = _scaled_range(k @ s.basis, k_norm) if s.dim else s
+        image = range_basis(k @ s.basis, scale=k_norm) if s.dim else s
         if image.dim:
             comp = eye - projector(s)
             containment = max(

@@ -21,7 +21,7 @@ from framekit.frame_core import (
     reconstruct,
 )
 from framekit.instances import (
-    SPOILERS,
+    REGISTRY,
     GenSpec,
     build_instance,
     check_instance,
@@ -346,22 +346,22 @@ def test_criterion_7_exactness_pinpoints(capsys):
 
 def test_criterion_8_negative_controls(capsys, tmp_path):
     silent = []
-    for tid, scenario in SPOILERS.items():
-        inst = build_instance(tid, GenSpec(13, 6, scenario))
+    for tid, entry in REGISTRY.items():
+        inst = build_instance(tid, GenSpec(13, 6, entry.spoiler))
         try:
             check_instance(inst)
             silent.append(tid)
         except HypothesisFailed:
             pass
     # end to end: a spoiler file through the CLI must exit 2
-    spoiled = build_instance("thm4.4.2", GenSpec(13, 6, SPOILERS["thm4.4.2"]))
+    spoiled = build_instance("thm4.4.2", GenSpec(13, 6, REGISTRY["thm4.4.2"].spoiler))
     path = tmp_path / "spoiler.json"
     path.write_text(dumps_instance(spoiled))
     exit_code = main(["check", str(path)])
     ok = not silent and exit_code == 2
     announce(
         capsys, 8, ok,
-        f"{len(SPOILERS)} spoilers rejected, {len(silent)} silent passes, "
+        f"{len(REGISTRY)} spoilers rejected, {len(silent)} silent passes, "
         f"CLI exit {exit_code}",
     )
     assert silent == []

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line front end: exit codes, file
 round-trips, and byte-identical suite reports."""
 
+import csv
 import json
 
 import pytest
@@ -53,6 +54,23 @@ class TestGen:
             main(["gen", "--theorem", "thm9.9", "--out", str(tmp_path)])
         assert err.value.code == 3
 
+    @pytest.mark.parametrize("theorem, scenario", [
+        ("thm4.7", "parseval_exact"), ("prop4.5", "identical"),
+        ("thm4.4.2", "inadmissible_b"), ("thm4.4.3", "inadmissible_a"),
+        ("thm4.4.1", "budget_half"), ("thm4.4.1", "false_constants"),
+        ("prop4.5", "inadmissible_a"),
+    ])
+    def test_foreign_scenario_exits_three_and_writes_nothing(
+            self, tmp_path, capsys, theorem, scenario):
+        code = main([
+            "gen", "--theorem", theorem, "--seed", "3", "--scenario", scenario,
+            "--out", str(tmp_path),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"scenario {scenario!r} unknown for {theorem}" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_subcommand_prints_help(self, capsys):
         assert main([]) == 3
         assert "COMMAND" in capsys.readouterr().out
@@ -92,6 +110,7 @@ class TestCheck:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("theorem,seed,dim,scalar,scenario")
         assert lines[1].startswith("lem3.2")
+        assert float(lines[1].split(",")[-1]) > 0.0
 
     def test_multiple_files_worst_status_wins(self, tmp_path):
         good = write_instance(tmp_path, "thm4.6", "parseval_exact", name="a.json")
@@ -140,6 +159,20 @@ class TestCheck:
         )
         assert code == 3
         assert "config error: meta.seed:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("theorem", ["bogus", None, 7, [], {}])
+    def test_bad_meta_theorem_exits_three(self, tmp_path, capsys, theorem):
+        def edit(obj):
+            if theorem is None:
+                del obj["meta"]["theorem"]
+            else:
+                obj["meta"]["theorem"] = theorem
+
+        code, err = self.check_edited(tmp_path, capsys, "thm4.6",
+                                      "parseval_exact", edit)
+        assert code == 3
+        assert "config error: meta.theorem: expected one of thm3.1" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("theorem, scenario, field, edit", [
         ("thm4.6", "parseval_exact", "operators.K",
@@ -274,12 +307,10 @@ class TestSuite:
         _, second = self.run_suite(tmp_path, "two.json")
         assert first.read_bytes() == second.read_bytes()
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FRAMEKIT_THREADS", "1")
-        _, serial = self.run_suite(tmp_path, "serial.json")
-        monkeypatch.delenv("FRAMEKIT_THREADS")
-        _, parallel = self.run_suite(tmp_path, "parallel.json", ("--threads", "4"))
-        assert serial.read_bytes() == parallel.read_bytes()
+    def test_thread_count_does_not_change_bytes(self, tmp_path):
+        _, one = self.run_suite(tmp_path, "one.json", ("--threads", "1"))
+        _, four = self.run_suite(tmp_path, "four.json", ("--threads", "4"))
+        assert one.read_bytes() == four.read_bytes()
 
     def test_spoilers_fold_into_pass(self, tmp_path):
         code, out = self.run_suite(tmp_path, "with_spoilers.json", ("--spoilers",))
@@ -302,6 +333,16 @@ class TestSuite:
         total = lines[-1].split(",")
         assert total[0] == "TOTAL"
         assert float(total[-1]) > 0.0
+
+    def test_csv_rows_carry_wall_time(self, tmp_path):
+        code, out = self.run_suite(tmp_path, "suite.csv",
+                                   ("--format", "csv", "--spoilers"))
+        assert code == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        times = [float(row["wall_time_s"]) for row in rows]
+        assert len(times) == 21 and all(t > 0.0 for t in times)
+        assert rows[-1]["theorem"] == "TOTAL"
+        assert times[-1] >= sum(times[:-1])
 
     def test_config_file_supplies_defaults(self, tmp_path):
         config = tmp_path / "config.json"
@@ -349,11 +390,6 @@ class TestSuite:
         config = tmp_path / "config.json"
         config.write_text("* not json *")
         assert main(["suite", "--config", str(config)]) == 3
-
-    def test_bad_thread_env_exits_three(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FRAMEKIT_THREADS", "many")
-        assert main(["suite", "--n-per-theorem", "1"]) == 3
-        assert "FRAMEKIT_THREADS" in capsys.readouterr().err
 
     def test_zero_instances_rejected(self, tmp_path):
         assert main(["suite", "--n-per-theorem", "0"]) == 3

@@ -10,8 +10,7 @@ from framekit._rng import make_rng, random_unit_vectors
 from framekit.errors import HypothesisFailed, InvalidConfig
 from framekit.frame_core import fusion_operator
 from framekit.instances import (
-    SCENARIOS,
-    SPOILERS,
+    REGISTRY,
     THEOREM_IDS,
     GenSpec,
     build_instance,
@@ -36,9 +35,8 @@ def fresh_probe(seed, dim, count=2000, complex_scalars=True):
 
 class TestDeterminism:
     def test_same_spec_same_bytes(self):
-        for tid in THEOREM_IDS:
-            scenario = SCENARIOS[tid][0]
-            spec = GenSpec(seed=7, dim=5, scenario=scenario)
+        for tid, entry in REGISTRY.items():
+            spec = GenSpec(seed=7, dim=5, scenario=entry.scenarios[0])
             a = dumps_instance(build_instance(tid, spec))
             b = dumps_instance(build_instance(tid, spec))
             assert a == b, tid
@@ -59,6 +57,34 @@ class TestDeterminism:
             build_instance("lem4.1", GenSpec(1, 4, "gibberish"))
         with pytest.raises(InvalidConfig):
             build_instance("nope", GenSpec(1, 4, "identical"))
+
+    @pytest.mark.parametrize("tid", THEOREM_IDS)
+    def test_foreign_scenarios_rejected(self, tid):
+        entry = REGISTRY[tid]
+        allowed = entry.scenarios + (entry.spoiler,)
+        foreign = {
+            scenario
+            for other in REGISTRY.values()
+            for scenario in other.scenarios + (other.spoiler,)
+        } - set(allowed)
+        assert foreign
+        for scenario in sorted(foreign):
+            with pytest.raises(InvalidConfig) as err:
+                build_instance(tid, GenSpec(3, 4, scenario))
+            message = str(err.value)
+            assert repr(scenario) in message and tid in message
+            assert all(name in message for name in allowed)
+
+    @pytest.mark.parametrize("tid", THEOREM_IDS)
+    def test_meta_names_the_requested_pair(self, tid):
+        entry = REGISTRY[tid]
+        for scenario in entry.scenarios + (entry.spoiler,):
+            inst = build_instance(tid, GenSpec(3, 4, scenario))
+            assert inst.meta["theorem"] == tid
+            assert inst.meta["scenario"] == scenario
+            assert inst.meta["seed"] == 3
+            expected = "hypothesis_failed" if scenario == entry.spoiler else "pass"
+            assert inst.meta["expect"] == expected
 
 
 class TestGeneratedOperators:
@@ -182,8 +208,8 @@ class TestCertifiedConstants:
 
 class TestScenarioSweep:
     def test_every_pass_scenario_passes(self):
-        for tid in THEOREM_IDS:
-            for scenario in SCENARIOS[tid]:
+        for tid, entry in REGISTRY.items():
+            for scenario in entry.scenarios:
                 for seed in (1, 2):
                     inst = build_instance(tid, GenSpec(seed, 6, scenario))
                     assert inst.meta["expect"] == "pass"
@@ -191,8 +217,8 @@ class TestScenarioSweep:
                     assert report.passed, (tid, scenario, seed)
 
     def test_every_spoiler_rejects(self):
-        for tid, scenario in SPOILERS.items():
-            inst = build_instance(tid, GenSpec(3, 6, scenario))
+        for tid, entry in REGISTRY.items():
+            inst = build_instance(tid, GenSpec(3, 6, entry.spoiler))
             assert inst.meta["expect"] == "hypothesis_failed"
             with pytest.raises(HypothesisFailed):
                 check_instance(inst)
@@ -214,7 +240,7 @@ class TestSuiteComposition:
             tid = inst.meta["theorem"]
             per_theorem[tid] = per_theorem.get(tid, 0) + 1
             assert inst.meta["expect"] == "pass"
-            assert inst.meta["scenario"] in SCENARIOS[tid]
+            assert inst.meta["scenario"] in REGISTRY[tid].scenarios
         assert per_theorem == {tid: 3 for tid in THEOREM_IDS}
 
     def test_default_suite_is_deterministic(self):
@@ -227,7 +253,7 @@ class TestSuiteComposition:
         assert len(entries) == len(THEOREM_IDS)
         for inst in entries:
             assert inst.meta["expect"] == "hypothesis_failed"
-            assert inst.meta["scenario"] == SPOILERS[inst.meta["theorem"]]
+            assert inst.meta["scenario"] == REGISTRY[inst.meta["theorem"]].spoiler
 
     def test_spanning_family_spans(self):
         for seed in (0, 1):

@@ -423,6 +423,17 @@ class TestSubspace:
         m = np.array([[1.0, 2.0], [2.0, 4.0]])
         assert range_basis(m).dim == 1
 
+    def test_range_basis_judges_rank_against_a_given_scale(self):
+        tiny = 1e-12 * np.eye(3)[:, :2]
+        # on its own scale a tiny image has full rank; against an operator
+        # of norm 1 it is rounding noise
+        assert range_basis(tiny).dim == 2
+        assert range_basis(tiny, scale=1.0).dim == 0
+        assert range_basis(np.eye(3), scale=0.0).dim == 0
+        assert range_basis(np.zeros((3, 0)), scale=1.0).dim == 0
+        u = range_basis(np.diag([2.0, 1e-3, 0.0]), 1e-2, scale=0.5)
+        assert u.dim == 1
+
     def test_rejects_skewed_basis(self):
         with pytest.raises(ValueError):
             Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))

@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 from framekit import serialize
 from framekit.errors import InvalidConfig
 from framekit.instances import (
-    SCENARIOS,
-    THEOREM_IDS,
+    REGISTRY,
     GenSpec,
     Instance,
     build_instance,
@@ -247,8 +246,8 @@ class TestBulkDecoding:
 
     @pytest.mark.parametrize("scalar", ["real", "complex"])
     def test_generated_instances_decode_identically(self, scalar):
-        for tid in THEOREM_IDS:
-            scenario = SCENARIOS[tid][0]
+        for tid, entry in REGISTRY.items():
+            scenario = entry.scenarios[0]
             inst = build_instance(tid, GenSpec(21, 6, scenario, {"scalar": scalar}))
             text = dumps_instance(inst)
             fast = instance_arrays(loads_instance(text))
