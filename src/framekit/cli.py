@@ -3,7 +3,8 @@
 Exit codes: 0 all checks passed, 1 a bracketing check failed, 2 a
 hypothesis or admissibility precondition was rejected, 3 bad usage, an
 unreadable input, or an input the numerics refuse (not Hermitian, not
-PSD, an uncertifiable bound, an ill-conditioned split).  Suite JSON
+PSD, an uncertifiable bound, an ill-conditioned split, an intermediate
+that overflowed to a non-finite value).  Suite JSON
 output is byte-identical across runs of the same version; timing lives
 only in the CSV (per row and in the TOTAL row) and on stderr.
 """
@@ -12,12 +13,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
 import time
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 from ._rng import child_seed
 from .errors import FramekitError, HypothesisFailed, InvalidConfig
@@ -45,7 +49,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first call; parsing leaves it unchanged."""
     parser = _Parser(prog="framekit", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
@@ -81,13 +87,15 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    commands = {"gen": _cmd_gen, "check": _cmd_check, "suite": _cmd_suite}
+    if args.command not in commands:
+        parser.print_help()
+        return 3
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "suite":
-            return _cmd_suite(args)
+        # an overflow shows as a NonFinite error or a non-finite report
+        # value, not as numpy's warning lines on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return commands[args.command](args)
     except InvalidConfig as exc:
         print(f"framekit: config error: {exc}", file=sys.stderr)
         return 3
@@ -97,8 +105,6 @@ def main(argv=None) -> int:
     except FramekitError as exc:
         print(f"framekit: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    parser.print_help()
-    return 3
 
 
 def _cmd_gen(args) -> int:

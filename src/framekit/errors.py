@@ -41,6 +41,11 @@ class DeficientLocalFrame(FramekitError):
     """A local frame fails to span its subspace with a positive lower bound."""
 
 
+class NonFinite(FramekitError, ValueError):
+    """A matrix or vector holds an infinite or NaN entry, such as a product
+    of finite inputs that overflowed."""
+
+
 class OracleMismatch(FramekitError):
     """Closed-form value and the independent bisection oracle disagree."""
 

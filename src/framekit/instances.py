@@ -24,7 +24,7 @@ from .frame_core import (
     fusion_synthesis_matrix,
 )
 from .kfusion import KFusionInstance, k_lower_bound
-from .numerics import Subspace, operator_norm, pinv, projector
+from .numerics import Subspace, one_blas_thread, operator_norm, pinv, projector
 from .theorems import (
     LambdaKind,
     PerturbationConstants,
@@ -669,7 +669,8 @@ def build_instance(theorem_id: str, spec: GenSpec) -> Instance:
     """Materialize one seeded instance for a checker.
 
     The scenario must be one of the theorem's pass scenarios or its
-    spoiler; the spoiler is the one expected to be rejected.
+    spoiler; the spoiler is the one expected to be rejected.  Generation
+    runs on one OpenBLAS thread (``one_blas_thread``).
     """
     entry = REGISTRY.get(theorem_id)
     if entry is None:
@@ -680,7 +681,8 @@ def build_instance(theorem_id: str, spec: GenSpec) -> Instance:
             f"scenario {spec.scenario!r} unknown for {theorem_id}; "
             f"expected one of {', '.join(allowed)}"
         )
-    fields = entry.generate(spec, make_rng(spec.seed))
+    with one_blas_thread():
+        fields = entry.generate(spec, make_rng(spec.seed))
     expect = "hypothesis_failed" if spec.scenario == entry.spoiler else "pass"
     meta = {"theorem": theorem_id, "seed": spec.seed,
             "scenario": spec.scenario, "expect": expect}
@@ -691,10 +693,12 @@ def check_instance(inst: Instance, tol: float = 1e-9) -> TheoremReport:
     """Run the checker of the instance's theorem.
 
     ``meta.theorem`` must be a registered id: the decoder refuses any
-    other, and ``build_instance`` only stamps registered ones.
+    other, and ``build_instance`` only stamps registered ones.  The check
+    runs on one OpenBLAS thread (``one_blas_thread``).
     """
     entry = REGISTRY[inst.meta["theorem"]]
-    return entry.check(inst, tol, int(inst.meta.get("seed", 0)))
+    with one_blas_thread():
+        return entry.check(inst, tol, int(inst.meta.get("seed", 0)))
 
 
 _SUITE_DIMS = (2, 3, 4, 5, 6, 8, 10, 12, 16)

@@ -4,12 +4,16 @@ range tests, and PSD pencil maximization.
 Everything is stored as a plain numpy array in complex128; real input is
 embedded.  Numerical rank follows one convention throughout the toolkit:
 singular values (or eigenvalues of PSD matrices) at or below ``RANK_TOL``
-times the largest one are treated as zero.
+times the largest one are treated as zero.  ``one_blas_thread`` runs a
+block of this linear algebra on one OpenBLAS thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+import importlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +22,7 @@ import scipy.linalg
 from .errors import (
     DimensionMismatch,
     IllConditionedSplit,
+    NonFinite,
     NotHermitian,
     NotPSD,
     NotSquare,
@@ -43,9 +48,63 @@ __all__ = [
     "projector",
     "douglas_check",
     "max_psd_scale",
+    "one_blas_thread",
     "psd_scale_bisection",
     "projection_lemma_check",
 ]
+
+
+_OPENBLAS_CONTROLS = tuple(
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")
+)
+
+
+def _openblas_pools() -> tuple:
+    """The (get, set) thread-count controls of each OpenBLAS that NumPy and
+    SciPy link, found by ``dlsym`` on their LAPACK extension modules, one
+    pair per library; empty under any other BLAS."""
+    pools = {}
+    for module in ("numpy.linalg._umath_linalg", "scipy.linalg._flapack"):
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+        except (ImportError, AttributeError, OSError, TypeError):
+            continue
+        for get_name, set_name in _OPENBLAS_CONTROLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                pools.setdefault(ctypes.cast(get, ctypes.c_void_p).value, (get, put))
+                break
+    return tuple(pools.values())
+
+
+_BLAS_POOLS = _openblas_pools()
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with every OpenBLAS pool of NumPy and SciPy at one
+    thread, and give the caller back its counts on exit, also when an
+    exception passes through.
+
+    Framekit's operators are at most 32x32, where a second thread cannot
+    speed a BLAS call up and its workers spin after each threaded call, so
+    it only adds CPU time.  A pool already at one is left alone, so a
+    nested entry changes nothing; with any other BLAS this does nothing.
+    """
+    restore = []
+    try:
+        for get, put in _BLAS_POOLS:
+            count = get()
+            if count != 1:
+                restore.append((put, count))
+                put(1)
+        yield
+    finally:
+        for put, count in restore:
+            put(count)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -54,14 +113,14 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
+        raise NonFinite("matrix has non-finite entries")
     return m
 
 
 def as_vector(a, dim: int | None = None) -> np.ndarray:
     v = np.asarray(a, dtype=np.complex128).reshape(-1)
     if v.size and not np.all(np.isfinite(v)):
-        raise ValueError("vector has non-finite entries")
+        raise NonFinite("vector has non-finite entries")
     if dim is not None and v.size != dim:
         raise DimensionMismatch(f"expected length {dim}, got {v.size}")
     return v
@@ -415,9 +474,11 @@ def max_psd_scale(sw, g, *, rank_tol: float = RANK_TOL,
         return 0.0
     vr = sw_eig.eigenvectors[:, keep]
     lam = sw_w[keep]
-    leak = gh - vr @ (vr.conj().T @ gh)
-    if operator_norm(leak) > rank_tol * g_max:
-        return 0.0
+    if not np.all(keep):
+        # at full rank range(G) <= range(Sw) always holds: the leak is rounding
+        leak = gh - vr @ (vr.conj().T @ gh)
+        if operator_norm(leak) > rank_tol * g_max:
+            return 0.0
     inv_sqrt = 1.0 / np.sqrt(lam)
     compressed = (vr.conj().T @ gh @ vr) * inv_sqrt[:, None] * inv_sqrt[None, :]
     mu = float(np.linalg.eigvalsh(hermitian_part(compressed))[-1])

@@ -11,6 +11,7 @@ from framekit.cli import main
 from framekit.errors import (
     DimensionMismatch,
     IllConditionedSplit,
+    NonFinite,
     NotHermitian,
     NotPSD,
     NotSquare,
@@ -74,6 +75,24 @@ class TestGen:
     def test_missing_subcommand_prints_help(self, capsys):
         assert main([]) == 3
         assert "COMMAND" in capsys.readouterr().out
+
+
+def test_one_parser_serves_consecutive_calls(tmp_path, capsys):
+    # the parser is built once per process; each call parses afresh, so an
+    # option given to one call does not carry over to the next
+    path = write_instance(tmp_path, "lem4.1", "additive")
+    csv_out = tmp_path / "reports.csv"
+    assert main(["check", str(path), "--format", "csv", "--tol", "1e-6",
+                 "--out", str(csv_out)]) == 0
+    assert csv_out.read_text().startswith("theorem,seed,")
+    suite_out = tmp_path / "suite.json"
+    assert main(["suite", "--n-per-theorem", "1", "--seed", "5",
+                 "--out", str(suite_out)]) == 0
+    assert json.loads(suite_out.read_text())["base_seed"] == 5
+    json_out = tmp_path / "reports.json"
+    assert main(["check", str(path), "--out", str(json_out)]) == 0
+    assert json.loads(json_out.read_text())[0]["theorem_id"] == "lem4.1"
+    assert framekit.cli._build_parser() is framekit.cli._build_parser()
 
 
 class TestCheck:
@@ -253,9 +272,30 @@ class TestCheck:
         assert code == 3
         assert "config error: members[1].weight: magnitude above 1e+100" in err
 
+    @pytest.mark.parametrize("theorem, scenario, factor", [
+        ("thm4.6", "scaled_synthesis", 1e80),
+        ("thm4.7", "shifted_synthesis", 1e80),
+        ("thm4.7", "shifted_synthesis", 1e99),
+    ])
+    def test_overflow_to_non_finite_exits_three(self, tmp_path, capsys,
+                                                recwarn, theorem, scenario,
+                                                factor):
+        # every weight stays under the decoder's 1e100 limit, but the
+        # checker's products of them overflow
+        inst = build_instance(theorem, GenSpec(1, 3, scenario))
+        obj = json.loads(dumps_instance(inst))
+        for member in obj["members"]:
+            member["weight"] *= factor
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(obj))
+        assert main(["check", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "framekit: NonFinite: matrix has non-finite entries\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("error", [
         OracleMismatch, NotHermitian, NotPSD, IllConditionedSplit,
-        DimensionMismatch, NotSquare,
+        NonFinite, DimensionMismatch, NotSquare,
     ])
     def test_numerical_refusal_exits_three(self, tmp_path, capsys, monkeypatch,
                                            error):

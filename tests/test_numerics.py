@@ -11,6 +11,7 @@ from framekit._rng import gaussian_matrix, make_rng
 from framekit.errors import (
     DimensionMismatch,
     IllConditionedSplit,
+    NonFinite,
     NotHermitian,
     OracleMismatch,
     NotPSD,
@@ -20,6 +21,7 @@ from framekit.numerics import (
     Subspace,
     _certify_psd_scale,
     as_matrix,
+    as_vector,
     douglas_check,
     drazin,
     hermitian_eig,
@@ -205,6 +207,20 @@ class TestMaxPsdScale:
         sw = np.diag([1.0, 0.0])
         g = np.diag([0.0, 1.0])
         assert max_psd_scale(sw, g) == 0.0
+
+    @pytest.mark.parametrize("complex_scalars", [False, True])
+    def test_full_rank_sw_runs_no_svd(self, monkeypatch, complex_scalars):
+        # at full rank range(G) <= range(Sw) holds, so no leak is measured
+        sw, g = psd_pencil(31, 16, complex_scalars, g_rank=4)
+        calls = count_svds(monkeypatch)
+        assert 0.0 < max_psd_scale(sw, g) < math.inf
+        assert calls == []
+
+    @pytest.mark.parametrize("complex_scalars", [False, True])
+    def test_dense_leak_from_rank_deficient_sw_gives_zero(self, complex_scalars):
+        sw, _ = psd_pencil(32, 8, complex_scalars, sw_rank=5)
+        c = random_matrix(33, 8, 2, complex_scalars)
+        assert max_psd_scale(sw, hermitian_part(c @ c.conj().T)) == 0.0
 
     def test_agrees_with_bisection_on_singular_pencils(self):
         sw = np.diag([3.0, 1.0, 0.0])
@@ -472,3 +488,13 @@ class TestSubspace:
     def test_as_matrix_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             as_matrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("coerce, value", [
+        (as_matrix, np.array([[np.inf, 0.0], [0.0, 1.0]])),
+        (as_matrix, np.array([[1.0, np.nan]])),
+        (as_vector, np.array([0.0, np.inf])),
+    ])
+    def test_nonfinite_is_a_framekit_error(self, coerce, value):
+        # the CLI maps every FramekitError to exit 3 without a traceback
+        with pytest.raises(NonFinite, match="non-finite entries"):
+            coerce(value)
