@@ -30,7 +30,6 @@ from .numerics import (
     as_vector,
     hermitian_eig,
     hermitian_part,
-    projector,
 )
 
 __all__ = [

@@ -20,21 +20,24 @@ from ._rng import child_seed, gaussian_matrix, make_rng
 from .errors import InvalidConfig
 from .frame_core import (
     WeightedSubspaceFamily,
+    fusion_bounds,
     fusion_operator,
     fusion_synthesis_matrix,
 )
-from .kfusion import KFusionInstance, k_lower_bound
+from .kfusion import k_lower_bound
 from .numerics import Subspace, one_blas_thread, operator_norm, pinv, projector
 from .theorems import (
-    LambdaKind,
     PerturbationConstants,
     TheoremReport,
     check_drazin,
     check_erasure,
     check_image_under_k,
     check_operator_perturbation,
-    check_projection_perturbation,
+    check_projection_k_star,
+    check_projection_plain,
+    check_projection_zero,
     check_quadratic_perturbation,
+    check_synthesis_closed_range,
     check_synthesis_perturbation,
 )
 
@@ -135,12 +138,11 @@ def random_unitary(rng, n: int, complex_scalars: bool) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_invertible(rng, n: int, complex_scalars: bool,
-                      sigma_lo: float = 0.5, sigma_hi: float = 2.0) -> np.ndarray:
-    """Invertible matrix with singular values in [sigma_lo, sigma_hi]."""
+def random_invertible(rng, n: int, complex_scalars: bool) -> np.ndarray:
+    """Invertible matrix with singular values in [0.5, 2]."""
     u = random_unitary(rng, n, complex_scalars)
     v = random_unitary(rng, n, complex_scalars)
-    return (u * _log_uniform(rng, sigma_lo, sigma_hi, n)) @ v.conj().T
+    return (u * _log_uniform(rng, 0.5, 2.0, n)) @ v.conj().T
 
 
 def random_subspace(rng, ambient: int, dim: int, complex_scalars: bool) -> Subspace:
@@ -154,29 +156,30 @@ def _axis(dim: int, j: int) -> Subspace:
     return Subspace(dim, e)
 
 
-def _partition_subsets(rng, n: int, max_block: int = 3) -> list[list[int]]:
+def _partition_subsets(rng, n: int) -> list[list[int]]:
+    """A random partition of range(n) into sorted blocks of 1 to 3."""
     order = [int(i) for i in rng.permutation(n)]
     subsets = []
     i = 0
     while i < n:
-        size = int(rng.integers(1, min(max_block, n - i) + 1))
+        size = int(rng.integers(1, min(3, n - i) + 1))
         subsets.append(sorted(order[i:i + size]))
         i += size
     return subsets
 
 
-def spanning_family(rng, dim: int, complex_scalars: bool, extra: int = 2,
-                    weight_lo: float = 0.7, weight_hi: float = 1.6
+def spanning_family(rng, dim: int, complex_scalars: bool, extra: int = 2
                     ) -> WeightedSubspaceFamily:
-    """Family whose union spans: a dressed coordinate partition plus extras."""
+    """Family whose union spans: a dressed coordinate partition plus extras,
+    weights log-uniform in [0.7, 1.6]."""
     u = random_unitary(rng, dim, complex_scalars)
     members = []
     for subset in _partition_subsets(rng, dim):
-        w = float(_log_uniform(rng, weight_lo, weight_hi))
+        w = float(_log_uniform(rng, 0.7, 1.6))
         members.append((Subspace(dim, u[:, subset]), w))
     for _ in range(extra):
         d = int(rng.integers(1, min(3, dim) + 1))
-        w = float(_log_uniform(rng, weight_lo, weight_hi))
+        w = float(_log_uniform(rng, 0.7, 1.6))
         members.append((random_subspace(rng, dim, d, complex_scalars), w))
     return WeightedSubspaceFamily(dim, tuple(members))
 
@@ -264,12 +267,13 @@ def _rotation_certificates(theta: float) -> tuple[float, float]:
     return norm_cert, quad_cert
 
 
-def gen_perturbed_pair(rng, dim: int, scenario: str, complex_scalars: bool,
-                       max_frac: float = 0.3) -> PerturbedPair:
+def gen_perturbed_pair(rng, dim: int, scenario: str, complex_scalars: bool
+                       ) -> PerturbedPair:
     """Paired families with certified blockwise constants.
 
     identical:     zero deviation, all constants zero.
-    weight_shift:  same subspaces, v_i = w_i sqrt(1 - frac_i); the a-term
+    weight_shift:  same subspaces, v_i = w_i sqrt(1 - frac_i), frac_i
+                   uniform in [0.05, 0.3]; the a-term
                    is max_i (1 - sqrt(1 - frac_i)), exact per member, and
                    the quadratic budget is the top eigenvalue of the
                    summed deviation form.
@@ -282,7 +286,7 @@ def gen_perturbed_pair(rng, dim: int, scenario: str, complex_scalars: bool,
         return PerturbedPair(fam, fam, PerturbationConstants(0.0, 0.0), 0.0, 0.0)
     if scenario == "weight_shift":
         fam = spanning_family(rng, dim, complex_scalars)
-        fracs = rng.uniform(0.05, max_frac, len(fam))
+        fracs = rng.uniform(0.05, 0.3, len(fam))
         return _weight_shift_pair(fam, fracs)
     if scenario == "rotation":
         theta = float(rng.uniform(0.15, 0.6))
@@ -321,10 +325,8 @@ def _weight_shift_pair(fam: WeightedSubspaceFamily,
         for i, (s, w) in enumerate(fam.members)
     )
     quad = max(float(np.linalg.eigvalsh(budget)[-1]), 0.0)
-    upper = float(np.linalg.eigvalsh(fusion_operator(fam))[-1])
-    return PerturbedPair(
-        fam, vv, PerturbationConstants(a, 0.0), a * math.sqrt(upper), quad
-    )
+    return PerturbedPair(fam, vv, PerturbationConstants(a, 0.0),
+                         a * math.sqrt(fusion_bounds(fam).upper), quad)
 
 
 def _scalar_kind(spec: GenSpec) -> bool:
@@ -392,7 +394,7 @@ def _gen_erasure(spec: GenSpec, rng) -> dict:
     base = WeightedSubspaceFamily(n, tuple(members))
     k = random_invertible(rng, n, cx)
     # size the erased member so its mass stays well under the lower bound
-    lower = k_lower_bound(KFusionInstance(base, k))
+    lower = k_lower_bound(base, k)
     dag_norm = operator_norm(pinv(k))
     w_extra = math.sqrt(0.3 * lower) / dag_norm
     extra = random_subspace(rng, n, 1, cx)
@@ -481,7 +483,7 @@ def _gen_quadratic(spec: GenSpec, rng) -> dict:
 
 def _shrink_budget(pair: PerturbedPair, k: np.ndarray) -> PerturbedPair:
     """Halve the weight shift until the quadratic budget clears the bound."""
-    lower = k_lower_bound(KFusionInstance(pair.source, k))
+    lower = k_lower_bound(pair.source, k)
     fam = pair.source
     weights = np.array(fam.weights)
     target = np.array(pair.target.weights)
@@ -585,39 +587,23 @@ class TheoremEntry:
 # run and never bind them here.  The generators are private and are stored
 # as they are.
 
-def _k_instance(inst: Instance) -> KFusionInstance:
-    return KFusionInstance(inst.family, inst.operators["K"])
-
-
-def _check_projection(kind: LambdaKind):
-    return lambda inst, tol, seed: check_projection_perturbation(
-        inst.family, inst.family_v, inst.constants, kind,
-        k=inst.operators.get("K"), tol=tol, seed=seed,
-    )
-
-
-def _check_synthesis(closed_range_variant: bool):
-    return lambda inst, tol, seed: check_synthesis_perturbation(
-        inst.family, inst.erased, inst.operators["K"], inst.constants, tol,
-        closed_range_variant=closed_range_variant, seed=seed,
-    )
-
-
 REGISTRY: Mapping[str, TheoremEntry] = {
     "thm3.1": TheoremEntry(
         ("dressed_subset",), "non_idempotent", _gen_image,
-        lambda inst, tol, seed: check_image_under_k(_k_instance(inst), tol, seed),
+        lambda inst, tol, seed: check_image_under_k(
+            inst.family, inst.operators["K"], tol, seed),
         ("operators.K",),
     ),
     "lem3.2": TheoremEntry(
         ("drazin_core", "invertible"), "nilpotent", _gen_drazin,
-        lambda inst, tol, seed: check_drazin(_k_instance(inst), tol, seed),
+        lambda inst, tol, seed: check_drazin(
+            inst.family, inst.operators["K"], tol, seed),
         ("operators.K",),
     ),
     "thm3.4": TheoremEntry(
         ("duplicated_axes",), "erasure_overload", _gen_erasure,
         lambda inst, tol, seed: check_erasure(
-            _k_instance(inst), inst.erased, tol, seed),
+            inst.family, inst.operators["K"], inst.erased, tol, seed),
         ("operators.K",),
     ),
     "lem4.1": TheoremEntry(
@@ -630,17 +616,23 @@ REGISTRY: Mapping[str, TheoremEntry] = {
     ),
     "thm4.4.1": TheoremEntry(
         _PAIR_BASES + ("weight_shift_with_k",), "inadmissible_b",
-        _gen_projection_zero, _check_projection(LambdaKind.ZERO),
+        _gen_projection_zero,
+        lambda inst, tol, seed: check_projection_zero(
+            inst.family, inst.family_v, inst.constants, inst.operators.get("K"),
+            tol, seed),
         ("members_v", "constants"),
     ),
     "thm4.4.2": TheoremEntry(
-        _PAIR_BASES, "inadmissible_a",
-        _gen_projection_k_star, _check_projection(LambdaKind.K_STAR_NORM),
+        _PAIR_BASES, "inadmissible_a", _gen_projection_k_star,
+        lambda inst, tol, seed: check_projection_k_star(
+            inst.family, inst.family_v, inst.operators["K"], inst.constants,
+            tol, seed),
         ("members_v", "operators.K", "constants"),
     ),
     "thm4.4.3": TheoremEntry(
-        _PAIR_BASES, "false_constants",
-        _gen_projection_plain, _check_projection(LambdaKind.PLAIN_NORM),
+        _PAIR_BASES, "false_constants", _gen_projection_plain,
+        lambda inst, tol, seed: check_projection_plain(
+            inst.family, inst.family_v, inst.constants, tol, seed),
         ("members_v", "constants"),
     ),
     "prop4.5": TheoremEntry(
@@ -652,12 +644,17 @@ REGISTRY: Mapping[str, TheoremEntry] = {
     ),
     "thm4.6": TheoremEntry(
         ("scaled_synthesis", "scaled_synthesis_b", "parseval_exact"), "understated",
-        _gen_synthesis, _check_synthesis(closed_range_variant=False),
+        _gen_synthesis,
+        lambda inst, tol, seed: check_synthesis_perturbation(
+            inst.family, inst.erased, inst.operators["K"], inst.constants,
+            tol, seed),
         ("operators.K", "constants"),
     ),
     "thm4.7": TheoremEntry(
-        ("shifted_synthesis",), "inadmissible_a",
-        _gen_shifted_synthesis, _check_synthesis(closed_range_variant=True),
+        ("shifted_synthesis",), "inadmissible_a", _gen_shifted_synthesis,
+        lambda inst, tol, seed: check_synthesis_closed_range(
+            inst.family, inst.erased, inst.operators["K"], inst.constants,
+            tol, seed),
         ("operators.K", "constants"),
     ),
 }

@@ -29,33 +29,23 @@ from .numerics import (
 )
 
 __all__ = [
-    "KFusionInstance",
     "KFusionVerdict",
     "SampleReport",
+    "k_operator",
     "k_lower_bound",
+    "k_bounds",
     "verify_k_fusion",
     "decide",
 ]
 
 
-@dataclass(frozen=True)
-class KFusionInstance:
-    """A weighted subspace family paired with a square operator on the
-    same ambient space."""
-
-    family: WeightedSubspaceFamily
-    operator: np.ndarray
-
-    def __post_init__(self):
-        k = as_matrix(self.operator)
-        n = self.family.ambient_dim
-        if k.shape != (n, n):
-            raise DimensionMismatch(
-                f"operator shape {k.shape} != ({n}, {n})"
-            )
-        k = k.copy()
-        k.setflags(write=False)
-        object.__setattr__(self, "operator", k)
+def k_operator(k, n: int) -> np.ndarray:
+    """``k`` as a finite complex128 matrix; DimensionMismatch unless it is
+    square on the n-dimensional ambient space."""
+    k = as_matrix(k)
+    if k.shape != (n, n):
+        raise DimensionMismatch(f"operator shape {k.shape} != ({n}, {n})")
+    return k
 
 
 @dataclass(frozen=True)
@@ -77,30 +67,39 @@ class SampleReport:
     worst_upper_margin: float
 
 
-def k_lower_bound(inst: KFusionInstance) -> float:
+def k_lower_bound(family: WeightedSubspaceFamily, k) -> float:
     """Optimal K-relative lower bound: largest a with a K K* <= S_W.
 
     Returns +inf for K = 0 (vacuous inequality) and exactly 0.0 when
     range(K) is not contained in range(S_W).
     """
-    family = inst.family
-    gram = hermitian_part(inst.operator @ inst.operator.conj().T)
+    k = k_operator(k, family.ambient_dim)
+    gram = hermitian_part(k @ k.conj().T)
     return max_psd_scale(fusion_operator(family), gram,
                          sw_eig=family.fusion_eig)
 
 
-def verify_k_fusion(inst: KFusionInstance, lower: float, upper: float,
-                    n_samples: int = 100, seed: int = 0) -> SampleReport:
+def k_bounds(family: WeightedSubspaceFamily, k) -> FrameBounds:
+    """The optimal pair: the K-relative lower bound and the family's upper
+    frame bound."""
+    return FrameBounds(k_lower_bound(family, k), fusion_bounds(family).upper,
+                       "optimal")
+
+
+def verify_k_fusion(family: WeightedSubspaceFamily, k, lower: float,
+                    upper: float, n_samples: int = 100,
+                    seed: int = 0) -> SampleReport:
     """Spot-check claimed bounds on unit vectors.
 
     The evaluation set is the eigenvectors of S_W and of K K* plus
     ``n_samples`` seeded random unit vectors.  A lower bound of +inf is
     treated as the vacuous sentinel (its term contributes zero).
     """
-    n = inst.family.ambient_dim
-    sw = fusion_operator(inst.family)
-    gram = hermitian_part(inst.operator @ inst.operator.conj().T)
-    pieces = [inst.family.fusion_eig.eigenvectors, np.linalg.eigh(gram)[1]]
+    n = family.ambient_dim
+    k = k_operator(k, n)
+    sw = fusion_operator(family)
+    gram = hermitian_part(k @ k.conj().T)
+    pieces = [family.fusion_eig.eigenvectors, np.linalg.eigh(gram)[1]]
     complex_probe = bool(
         np.abs(sw.imag).max() > 0 or np.abs(gram.imag).max() > 0
     )
@@ -122,23 +121,22 @@ def verify_k_fusion(inst: KFusionInstance, lower: float, upper: float,
     )
 
 
-def decide(inst: KFusionInstance) -> KFusionVerdict:
+def decide(family: WeightedSubspaceFamily, k) -> KFusionVerdict:
     """Decide K-fusion membership and report the optimal bound pair.
 
     On failure with K != 0 the witness is a unit vector in the null space of
     S_W carrying K*-energy, so the lower inequality fails there for every
     positive claimed bound.
     """
-    bound = k_lower_bound(inst)
-    upper = fusion_bounds(inst.family).upper
-    is_member = bound > 0.0  # +inf sentinel included
+    k = k_operator(k, family.ambient_dim)
+    bounds = k_bounds(family, k)
+    is_member = bounds.lower > 0.0  # +inf sentinel included
     witness = None
-    if not is_member and operator_norm(inst.operator) > 0.0:
-        sw = fusion_operator(inst.family)
-        p = projector(range_basis(sw))
-        comp = np.eye(inst.family.ambient_dim) - p
-        gram = hermitian_part(inst.operator @ inst.operator.conj().T)
+    if not is_member and operator_norm(k) > 0.0:
+        p = projector(range_basis(fusion_operator(family)))
+        comp = np.eye(family.ambient_dim) - p
+        gram = hermitian_part(k @ k.conj().T)
         outside = hermitian_part(comp @ gram @ comp)
         _, vecs = np.linalg.eigh(outside)
         witness = vecs[:, -1]
-    return KFusionVerdict(is_member, FrameBounds(bound, upper, "optimal"), witness)
+    return KFusionVerdict(is_member, bounds, witness)

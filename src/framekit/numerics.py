@@ -153,7 +153,7 @@ class EigenResult:
     eigenvectors: np.ndarray
 
 
-def _checked_hermitian(m, tol: float, name: str) -> np.ndarray:
+def _checked_hermitian(m, name: str) -> np.ndarray:
     """The Hermitian part of ``m`` after the checks of hermitian_eig.
 
     An exactly Hermitian input is returned as is; it equals its Hermitian
@@ -164,28 +164,28 @@ def _checked_hermitian(m, tol: float, name: str) -> np.ndarray:
         raise NotSquare(f"{name} must be square, got {m.shape}")
     adjoint = m.conj().T
     if not np.array_equal(m, adjoint):
-        if operator_norm(m - adjoint) > tol * operator_norm(m):
+        if operator_norm(m - adjoint) > 1e-10 * operator_norm(m):
             raise NotHermitian(f"{name} is not Hermitian within tolerance")
         m = (m + adjoint) / 2.0
     return m
 
 
-def hermitian_eig(m, tol: float = 1e-10, *, name: str = "matrix") -> EigenResult:
+def hermitian_eig(m, *, name: str = "matrix") -> EigenResult:
     """Eigendecomposition of a Hermitian matrix.
 
     Raises NotSquare on a rectangular input and NotHermitian when the
-    symmetry residual exceeds ``tol * ||M||``; ``name`` labels the matrix in
+    symmetry residual exceeds ``1e-10 * ||M||``; ``name`` labels the matrix in
     both messages.  An exactly Hermitian input has residual zero, so its two
     norms are skipped.
     """
-    w, v = np.linalg.eigh(_checked_hermitian(m, tol, name))
+    w, v = np.linalg.eigh(_checked_hermitian(m, name))
     return EigenResult(w, v)
 
 
-def pinv(m, rank_tol: float = RANK_TOL) -> np.ndarray:
+def pinv(m) -> np.ndarray:
     """Moore-Penrose pseudoinverse by SVD truncation.
 
-    Singular values at or below ``rank_tol`` times the largest are dropped.
+    Singular values at or below ``RANK_TOL`` times the largest are dropped.
     The zero matrix maps to the zero matrix of transposed shape.
     """
     m = as_matrix(m)
@@ -194,7 +194,7 @@ def pinv(m, rank_tol: float = RANK_TOL) -> np.ndarray:
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    keep = s > rank_tol * s[0]
+    keep = s > RANK_TOL * s[0]
     if not np.any(keep):
         return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
     u, s, vh = u[:, keep], s[keep], vh[keep]
@@ -304,9 +304,9 @@ class Subspace:
         return cls(ambient_dim, np.eye(ambient_dim, dtype=np.complex128))
 
     @classmethod
-    def from_span(cls, vectors, rank_tol: float = RANK_TOL) -> "Subspace":
+    def from_span(cls, vectors) -> "Subspace":
         """Orthonormalize a spanning set (columns) into a Subspace."""
-        return range_basis(as_matrix(vectors), rank_tol)
+        return range_basis(as_matrix(vectors))
 
 
 def range_basis(m, rank_tol: float = RANK_TOL, *,
@@ -350,8 +350,9 @@ class DouglasReport:
     residual: float
 
 
-def douglas_check(s, t, tol: float = 1e-10) -> DouglasReport:
-    """Test range(S) <= range(T) and produce the equivalent certificates."""
+def douglas_check(s, t) -> DouglasReport:
+    """Test range(S) <= range(T), to 1e-10 max(1, ||S||), and produce the
+    equivalent certificates."""
     s = as_matrix(s)
     t = as_matrix(t)
     if s.shape[0] != t.shape[0]:
@@ -361,7 +362,7 @@ def douglas_check(s, t, tol: float = 1e-10) -> DouglasReport:
     t_dag = pinv(t)
     p_range = t @ t_dag
     residual = operator_norm(s - p_range @ s)
-    if residual > tol * max(1.0, operator_norm(s)):
+    if residual > 1e-10 * max(1.0, operator_norm(s)):
         return DouglasReport(False, None, None, residual)
     factor = t_dag @ s
     ss = hermitian_part(s @ s.conj().T)
@@ -444,8 +445,7 @@ def _certify_psd_scale(sw: np.ndarray, g: np.ndarray, a: float,
         )
 
 
-def max_psd_scale(sw, g, *, rank_tol: float = RANK_TOL,
-                  sw_eig: EigenResult | None = None) -> float:
+def max_psd_scale(sw, g, *, sw_eig: EigenResult | None = None) -> float:
     """sup { a >= 0 : Sw - a G is PSD } for Hermitian PSD Sw and G.
 
     Computed in closed form as 1 / lambda_max of G compressed by the inverse
@@ -460,7 +460,7 @@ def max_psd_scale(sw, g, *, rank_tol: float = RANK_TOL,
         sw_eig = hermitian_eig(sw, name="Sw")
     sw_w = sw_eig.eigenvalues
     _require_psd(sw_w, "Sw")
-    gh = _checked_hermitian(g, 1e-10, "G")
+    gh = _checked_hermitian(g, "G")
     g_w = np.linalg.eigvalsh(gh)
     _require_psd(g_w, "G")
     g_max = float(g_w[-1]) if g_w.size else 0.0
@@ -469,7 +469,7 @@ def max_psd_scale(sw, g, *, rank_tol: float = RANK_TOL,
     s_max = float(sw_w[-1]) if sw_w.size else 0.0
     if s_max <= 0.0:
         return 0.0
-    keep = sw_w > rank_tol * s_max
+    keep = sw_w > RANK_TOL * s_max
     if not np.any(keep):
         return 0.0
     vr = sw_eig.eigenvectors[:, keep]
@@ -477,7 +477,7 @@ def max_psd_scale(sw, g, *, rank_tol: float = RANK_TOL,
     if not np.all(keep):
         # at full rank range(G) <= range(Sw) always holds: the leak is rounding
         leak = gh - vr @ (vr.conj().T @ gh)
-        if operator_norm(leak) > rank_tol * g_max:
+        if operator_norm(leak) > RANK_TOL * g_max:
             return 0.0
     inv_sqrt = 1.0 / np.sqrt(lam)
     compressed = (vr.conj().T @ gh @ vr) * inv_sqrt[:, None] * inv_sqrt[None, :]
@@ -490,9 +490,8 @@ def max_psd_scale(sw, g, *, rank_tol: float = RANK_TOL,
     return closed
 
 
-def projection_lemma_check(t, w: Subspace, v: Subspace,
-                           tol: float = 1e-10) -> bool:
-    """Whether P_W T* P_V agrees with P_W T* within ``tol``.
+def projection_lemma_check(t, w: Subspace, v: Subspace) -> bool:
+    """Whether P_W T* P_V agrees with P_W T* within 1e-10.
 
     Equivalent to T(W) <= V; the equivalence is exercised in the tests via
     an independent range-inclusion computation.
@@ -506,4 +505,4 @@ def projection_lemma_check(t, w: Subspace, v: Subspace,
     pw = projector(w)
     pv = projector(v)
     t_adj = t.conj().T
-    return operator_norm(pw @ t_adj @ pv - pw @ t_adj) <= tol
+    return operator_norm(pw @ t_adj @ pv - pw @ t_adj) <= 1e-10

@@ -1,6 +1,7 @@
 """Bound-transfer checkers.
 
-Each checker takes a concrete instance, verifies the stated hypothesis
+There is one checker per theorem id.  Each takes the statement's plain
+operands (families, operators, constants), verifies the stated hypothesis
 numerically (raising HypothesisFailed or AdmissibilityFailed when it does
 not hold), evaluates the predicted bound formulas, computes the actual
 optimal bounds of the conclusion instance, and reports whether the
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -47,10 +47,9 @@ from .frame_core import (
     fusion_operator,
     fusion_synthesis_matrix,
 )
-from .kfusion import KFusionInstance, k_lower_bound
+from .kfusion import k_bounds, k_operator
 from .numerics import (
     RANK_TOL,
-    as_matrix,
     douglas_check,
     drazin,
     hermitian_eig,
@@ -70,25 +69,19 @@ GRID_SAMPLES = 500
 __all__ = [
     "BRACKET_SLACK",
     "DEFAULT_TOL",
-    "LambdaKind",
     "PerturbationConstants",
     "TheoremReport",
     "check_image_under_k",
     "check_drazin",
     "check_erasure",
     "check_operator_perturbation",
-    "check_projection_perturbation",
+    "check_projection_zero",
+    "check_projection_k_star",
+    "check_projection_plain",
     "check_quadratic_perturbation",
     "check_synthesis_perturbation",
+    "check_synthesis_closed_range",
 ]
-
-
-class LambdaKind(Enum):
-    """Which norm the c-term of a block perturbation inequality multiplies."""
-
-    ZERO = "zero"
-    K_STAR_NORM = "k_star_norm"
-    PLAIN_NORM = "plain_norm"
 
 
 @dataclass(frozen=True)
@@ -129,16 +122,9 @@ class TheoremReport:
     parts: tuple["TheoremReport", ...] = ()
 
 
-def _leq_with_slack(x: float, y: float) -> bool:
-    if math.isinf(x):
-        return math.isinf(y)
-    if math.isinf(y):
-        return True
-    return x <= y * (1.0 + BRACKET_SLACK)
-
-
 def _slack_margin(x: float, y: float) -> float:
-    """y * (1 + slack) - x, with inf <= inf treated as a zero-margin pass."""
+    """y * (1 + slack) - x, with inf <= inf treated as a pass; x <= y within
+    the slack exactly when this is >= 0."""
     if math.isinf(x) and math.isinf(y):
         return math.inf
     if math.isinf(y):
@@ -153,8 +139,8 @@ def _bracket_report(theorem_id: str, predicted: FrameBounds, actual: FrameBounds
                     notes: Mapping[str, object] | None = None,
                     extra_ok: bool = True,
                     parts: tuple[TheoremReport, ...] = ()) -> TheoremReport:
-    ok_lower = _leq_with_slack(predicted.lower, actual.lower)
-    ok_upper = _leq_with_slack(actual.upper, predicted.upper)
+    lower_margin = _slack_margin(predicted.lower, actual.lower)
+    upper_margin = _slack_margin(actual.upper, predicted.upper)
     parts_ok = all(p.passed for p in parts)
     return TheoremReport(
         theorem_id=theorem_id,
@@ -162,9 +148,10 @@ def _bracket_report(theorem_id: str, predicted: FrameBounds, actual: FrameBounds
         residuals=dict(residuals),
         predicted=predicted,
         actual=actual,
-        passed=bool(ok_lower and ok_upper and extra_ok and parts_ok),
-        lower_margin=_slack_margin(predicted.lower, actual.lower),
-        upper_margin=_slack_margin(actual.upper, predicted.upper),
+        passed=bool(lower_margin >= 0.0 and upper_margin >= 0.0 and extra_ok
+                    and parts_ok),
+        lower_margin=lower_margin,
+        upper_margin=upper_margin,
         seed=seed,
         notes=dict(notes or {}),
         parts=parts,
@@ -176,9 +163,9 @@ def _has_imag(*arrays) -> bool:
 
 
 def _grid(dim: int, forms: Sequence[np.ndarray | WeightedSubspaceFamily],
-          seed: int, complex_probe: bool,
-          n_random: int = GRID_SAMPLES) -> np.ndarray:
-    """Unit-vector columns: eigenvectors of each form plus seeded randoms.
+          seed: int, complex_probe: bool) -> np.ndarray:
+    """Unit-vector columns: eigenvectors of each form plus GRID_SAMPLES
+    seeded random unit vectors.
 
     A family stands for its fusion operator and gives its cached
     eigenvectors; the Hermitian matrices share one stacked eigh call.
@@ -187,8 +174,7 @@ def _grid(dim: int, forms: Sequence[np.ndarray | WeightedSubspaceFamily],
     vectors = iter(np.linalg.eigh(stacked)[1])
     pieces = [next(vectors) if isinstance(f, np.ndarray)
               else f.fusion_eig.eigenvectors for f in forms]
-    if n_random > 0:
-        pieces.append(random_unit_vectors(seed, dim, n_random, complex_probe).T)
+    pieces.append(random_unit_vectors(seed, dim, GRID_SAMPLES, complex_probe).T)
     return np.hstack(pieces)
 
 
@@ -200,11 +186,13 @@ def _form_values(form: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.maximum(quadratic_forms(form, cols), 0.0)
 
 
-def _require_k_fusion(inst: KFusionInstance, label: str) -> float:
-    bound = k_lower_bound(inst)
-    if bound == 0.0:
+def _require_k_fusion(family: WeightedSubspaceFamily, k: np.ndarray,
+                      label: str) -> FrameBounds:
+    """k_bounds(family, k); HypothesisFailed when the lower bound is zero."""
+    bounds = k_bounds(family, k)
+    if bounds.lower == 0.0:
         raise HypothesisFailed(f"{label} is not a K-fusion frame for the given operator")
-    return bound
+    return bounds
 
 
 def _div(num: float, den: float) -> float:
@@ -216,22 +204,22 @@ def _div(num: float, den: float) -> float:
     return num / den
 
 
-def check_image_under_k(inst: KFusionInstance, tol: float = DEFAULT_TOL,
-                        seed: int = 0) -> TheoremReport:
+def check_image_under_k(family: WeightedSubspaceFamily, k,
+                        tol: float = DEFAULT_TOL, seed: int = 0) -> TheoremReport:
     """Bounds transfer to the image family {(closure(K W_i), v_i)}.
 
     Hypotheses: K is idempotent, the family is a K-fusion frame, and the
     pseudoinverse maps each image subspace back into its source.  Predicted
     bounds: A / ||K||^2 and B ||Kdag||^2 ||K||^2.
     """
-    family = inst.family
-    k = inst.operator
     n = family.ambient_dim
+    k = k_operator(k, n)
     idem_residual = operator_norm(k @ k - k)
     if idem_residual > tol:
         raise HypothesisFailed("operator is not idempotent", idem_residual)
     k_dag = pinv(k)
     k_norm = operator_norm(k)
+    dag_norm = operator_norm(k_dag)
     eye = np.eye(n)
     containment = 0.0
     image_members = []
@@ -246,25 +234,18 @@ def check_image_under_k(inst: KFusionInstance, tol: float = DEFAULT_TOL,
                 operator_norm(comp @ (k_dag @ image.basis)),
             )
         image_members.append((image, w))
-    scale_tol = tol * max(1.0, operator_norm(k_dag))
-    if containment > scale_tol:
+    if containment > tol * max(1.0, dag_norm):
         raise HypothesisFailed(
             "pseudoinverse does not map image subspaces into their sources",
             containment,
         )
-    lower = _require_k_fusion(inst, "the family")
-    upper = fusion_bounds(family).upper
-    dag_norm = operator_norm(k_dag)
+    bounds = _require_k_fusion(family, k, "the family")
     predicted = FrameBounds(
-        _div(lower, k_norm * k_norm),
-        upper * dag_norm * dag_norm * k_norm * k_norm,
+        _div(bounds.lower, k_norm * k_norm),
+        bounds.upper * dag_norm * dag_norm * k_norm * k_norm,
         "predicted",
     )
-    image_family = WeightedSubspaceFamily(n, tuple(image_members))
-    image_inst = KFusionInstance(image_family, k)
-    actual = FrameBounds(
-        k_lower_bound(image_inst), fusion_bounds(image_family).upper, "optimal"
-    )
+    actual = k_bounds(WeightedSubspaceFamily(n, tuple(image_members)), k)
     residuals = {
         "idempotency": idem_residual,
         "image_containment": containment,
@@ -272,24 +253,23 @@ def check_image_under_k(inst: KFusionInstance, tol: float = DEFAULT_TOL,
     return _bracket_report("thm3.1", predicted, actual, residuals, seed)
 
 
-def check_drazin(inst: KFusionInstance, tol: float = DEFAULT_TOL,
-                 seed: int = 0, split_tol: float = 1e-4) -> TheoremReport:
+def check_drazin(family: WeightedSubspaceFamily, k, tol: float = DEFAULT_TOL,
+                 seed: int = 0) -> TheoremReport:
     """Bounds for the compositions S K S, S K and K S, S the Drazin inverse.
 
     Predicted lower bounds: A/||S||^4 for S K S and A/||S||^2 for both S K
     and K S; the upper bound B of the family serves all three.  Raises
     ZeroDrazin when the operator is nilpotent.
 
-    ``split_tol`` is the relative radius separating the invertible core
-    from the nilpotent spectrum.  It is far coarser than a rank tolerance
-    on purpose: a Jordan block of index k scatters its zero eigenvalues by
+    The invertible core is split from the nilpotent spectrum at the
+    relative radius 1e-4.  It is far coarser than a rank tolerance on
+    purpose: a Jordan block of index k scatters its zero eigenvalues by
     roughly eps**(1/k), about 1e-5 at k = 3, so a split radius of 1e-4
     resolves indices up to 3 while leaving a wide margin to any core
     eigenvalue of ordinary size.
     """
-    family = inst.family
-    k = inst.operator
-    s, index = drazin(k, tol=split_tol)
+    k = k_operator(k, family.ambient_dim)
+    s, index = drazin(k, tol=1e-4)
     s_norm = operator_norm(s)
     if s_norm == 0.0:
         raise ZeroDrazin("Drazin inverse is zero; the derived bounds are vacuous")
@@ -302,27 +282,23 @@ def check_drazin(inst: KFusionInstance, tol: float = DEFAULT_TOL,
     worst = max(res_inner, res_commute, res_power)
     if worst > identity_tol:
         raise HypothesisFailed("Drazin identities fail beyond tolerance", worst)
-    lower = _require_k_fusion(inst, "the family")
-    upper = fusion_bounds(family).upper
+    bounds = _require_k_fusion(family, k, "the family")
     compositions = (
-        ("sks", s @ k @ s, _div(lower, s_norm**4)),
-        ("sk", s @ k, _div(lower, s_norm**2)),
-        ("ks", k @ s, _div(lower, s_norm**2)),
+        ("sks", s @ k @ s, _div(bounds.lower, s_norm**4)),
+        ("sk", s @ k, _div(bounds.lower, s_norm**2)),
+        ("ks", k @ s, _div(bounds.lower, s_norm**2)),
     )
     residuals = {
         "inner_identity": res_inner,
         "commutation": res_commute,
         "power_identity": res_power,
     }
-    parts = []
-    for name, op, predicted_lower in compositions:
-        predicted = FrameBounds(predicted_lower, upper, "predicted")
-        actual_lower = k_lower_bound(KFusionInstance(family, op))
-        actual = FrameBounds(actual_lower, upper, "optimal")
-        parts.append(
-            _bracket_report(f"lem3.2:{name}", predicted, actual, {}, seed)
-        )
-    parts = tuple(parts)
+    parts = tuple(
+        _bracket_report(f"lem3.2:{name}",
+                        FrameBounds(predicted_lower, bounds.upper, "predicted"),
+                        k_bounds(family, op), {}, seed)
+        for name, op, predicted_lower in compositions
+    )
     head = parts[0]
     return TheoremReport(
         theorem_id="lem3.2",
@@ -354,51 +330,48 @@ def _split_members(family: WeightedSubspaceFamily,
 
 
 def _compressed_pencil(reduced: WeightedSubspaceFamily,
-                       k: np.ndarray) -> tuple[float, float]:
-    """Optimal (lower, upper) of the reduced family relative to K on range(K)."""
+                       k: np.ndarray) -> FrameBounds:
+    """Optimal bounds of the reduced family relative to K on range(K)."""
     q = range_basis(k)
     if q.dim == 0:
-        return math.inf, 0.0
+        return FrameBounds(math.inf, 0.0, "optimal")
     qb = q.basis
     s_red = fusion_operator(reduced)
     gram = hermitian_part(k @ k.conj().T)
     s_c = hermitian_part(qb.conj().T @ s_red @ qb)
     g_c = hermitian_part(qb.conj().T @ gram @ qb)
-    lower = max_psd_scale(s_c, g_c)
-    upper = max(float(np.linalg.eigvalsh(s_c)[-1]), 0.0)
-    return lower, upper
+    return FrameBounds(max_psd_scale(s_c, g_c),
+                       max(float(np.linalg.eigvalsh(s_c)[-1]), 0.0), "optimal")
 
 
-def check_erasure(inst: KFusionInstance, erased: Sequence[int],
+def check_erasure(family: WeightedSubspaceFamily, k, erased: Sequence[int],
                   tol: float = DEFAULT_TOL, seed: int = 0) -> TheoremReport:
     """Bounds surviving member erasure, restricted to range(K).
 
     With C the erased weight mass sum of v_i^2, the reduced family obeys
     (A - C ||Kdag||^2) ||K* f||^2 <= energy <= B ||f||^2 on range(K),
-    provided A - C ||Kdag||^2 > 0.
+    provided A - C ||Kdag||^2 > 0; a difference at or below ``tol * A``
+    is rounding, and rejected.
     """
-    family = inst.family
-    k = inst.operator
+    k = k_operator(k, family.ambient_dim)
     dropped, reduced = _split_members(family, erased)
-    lower = _require_k_fusion(inst, "the family")
-    upper = fusion_bounds(family).upper
+    bounds = _require_k_fusion(family, k, "the family")
     dag_norm = operator_norm(pinv(k))
     mass = sum(w * w for i, (_, w) in enumerate(family.members) if i in set(dropped))
-    if math.isinf(lower):
+    if math.isinf(bounds.lower):
         predicted_lower = math.inf
     else:
-        predicted_lower = lower - mass * dag_norm * dag_norm
-        if predicted_lower <= 0.0:
+        predicted_lower = bounds.lower - mass * dag_norm * dag_norm
+        if predicted_lower <= tol * bounds.lower:
             raise HypothesisFailed(
                 "erased weight mass wipes out the lower bound",
                 -predicted_lower,
             )
-    actual_lower, actual_upper = _compressed_pencil(reduced, k)
-    predicted = FrameBounds(predicted_lower, upper, "predicted")
-    actual = FrameBounds(actual_lower, actual_upper, "optimal")
+    predicted = FrameBounds(predicted_lower, bounds.upper, "predicted")
     residuals = {"erased_mass": mass}
     notes = {"erased": list(dropped)}
-    return _bracket_report("thm3.4", predicted, actual, residuals, seed, notes)
+    return _bracket_report("thm3.4", predicted, _compressed_pencil(reduced, k),
+                           residuals, seed, notes)
 
 
 def _verify_pointwise(lhs: np.ndarray, rhs: np.ndarray, tol: float,
@@ -525,11 +498,9 @@ def check_operator_perturbation(family: WeightedSubspaceFamily, k1, k2,
     A ((1-b)/(1+a))^2 and unchanged upper bound.  When both a and b are
     below one the reverse transfer is checked as a sub-report.
     """
-    k1 = as_matrix(k1)
-    k2 = as_matrix(k2)
     n = family.ambient_dim
-    if k1.shape != (n, n) or k2.shape != (n, n):
-        raise DimensionMismatch("operators must be square on the ambient space")
+    k1 = k_operator(k1, n)
+    k2 = k_operator(k2, n)
     a, b = constants.a, constants.b
     if constants.c != 0.0:
         raise AdmissibilityFailed("this hypothesis has no c-term")
@@ -539,15 +510,14 @@ def check_operator_perturbation(family: WeightedSubspaceFamily, k1, k2,
         k1 - k2, [(a, k1), (b, k2)], tol,
         "perturbation inequality fails on the grid", seed,
     )
-    base = KFusionInstance(family, k1)
-    lower1 = _require_k_fusion(base, "the family")
-    upper = fusion_bounds(family).upper
-    lower2 = k_lower_bound(KFusionInstance(family, k2))
+    source = _require_k_fusion(family, k1, "the family")
+    lower1, upper = source.lower, source.upper
+    actual = k_bounds(family, k2)
+    lower2 = actual.lower
     factor = ((1.0 - b) / (1.0 + a)) ** 2
     predicted = FrameBounds(
         math.inf if math.isinf(lower1) else lower1 * factor, upper, "predicted"
     )
-    actual = FrameBounds(lower2, upper, "optimal")
     parts: tuple[TheoremReport, ...] = ()
     notes: dict[str, object] = {
         "k2_is_identity": bool(operator_norm(k2 - np.eye(n)) <= 1e-12),
@@ -560,9 +530,8 @@ def check_operator_perturbation(family: WeightedSubspaceFamily, k1, k2,
             upper,
             "predicted",
         )
-        actual_rev = FrameBounds(lower1, upper, "optimal")
         parts = (
-            _bracket_report("lem4.1:reverse", predicted_rev, actual_rev, {}, seed),
+            _bracket_report("lem4.1:reverse", predicted_rev, source, {}, seed),
         )
         notes["reverse_checked"] = True
     residuals = {"hypothesis_violation": violation}
@@ -589,109 +558,127 @@ def _member_energies(family: WeightedSubspaceFamily,
     return member @ (coeffs.real ** 2 + coeffs.imag ** 2)
 
 
-def check_projection_perturbation(ww: WeightedSubspaceFamily,
-                                  vv: WeightedSubspaceFamily,
-                                  constants: PerturbationConstants,
-                                  lam: LambdaKind,
-                                  k=None,
-                                  tol: float = DEFAULT_TOL,
-                                  seed: int = 0) -> TheoremReport:
-    """Bound transfer between two families under a blockwise perturbation.
-
-    Hypothesis: the blockwise deviation sqrt(sum_i ||(w_i P_i - v_i Q_i)
-    f||^2) is at most a sqrt<f, S_W f> + b sqrt<f, S_V f> plus a c-term
-    whose norm is selected by ``lam``:
-
-        ZERO        no c-term; target bounds for any K with
-                    range(K) <= range of the target synthesis map
-        K_STAR_NORM c ||K* f||; K-relative bounds on both sides
-        PLAIN_NORM  c ||f||; plain fusion bounds on both sides
-
-    With one nonzero constant it is decided exactly as a PSD pencil test
-    against S_W, S_V, K K* or I; with more it is grid-checked.
-    """
+def _paired(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFamily) -> None:
+    """DimensionMismatch unless the families pair members one-to-one in
+    one ambient space."""
     if len(ww) != len(vv):
         raise DimensionMismatch("families must pair members one-to-one")
     if ww.ambient_dim != vv.ambient_dim:
         raise DimensionMismatch("families live in different ambient spaces")
-    n = ww.ambient_dim
-    a, b, c = constants.a, constants.b, constants.c
-    k_mat = as_matrix(k) if k is not None else None
-    if k_mat is not None and k_mat.shape != (n, n):
-        raise DimensionMismatch("operator must be square on the ambient space")
 
-    terms: list[tuple[float, Side]] = [(a, ww), (b, vv)]
-    if lam is LambdaKind.ZERO:
-        if c != 0.0:
-            raise AdmissibilityFailed("lambda kind 'zero' requires c = 0")
-    elif lam is LambdaKind.K_STAR_NORM:
-        if k_mat is None:
-            raise ValueError("lambda kind 'k_star_norm' requires an operator")
-        terms.append((c, k_mat))
-    else:
-        terms.append((c, np.eye(n, dtype=np.complex128)))
+
+def _blockwise_hypothesis(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFamily,
+                          constants: PerturbationConstants,
+                          c_side: np.ndarray | None, tol: float,
+                          seed: int) -> tuple[dict, dict]:
+    """Residuals and notes of the Thm 4.4 hypothesis
+
+        sqrt(sum_i ||(w_i P_i - v_i Q_i) f||^2)
+            <= a sqrt<f, S_W f> + b sqrt<f, S_V f> + c ||Y* f||,
+
+    Y = ``c_side``, with no c-term when it is None.  With one nonzero
+    constant it is decided exactly as a PSD pencil test against S_W, S_V
+    or Y Y*; with more it is grid-checked.
+    """
+    terms: list[tuple[float, Side]] = [(constants.a, ww), (constants.b, vv)]
+    if c_side is not None:
+        terms.append((constants.c, c_side))
     # the d_i are Hermitian: ||d_i f|| = ||d_i* f||
     violation, certificate = _check_hypothesis(
         np.hstack(_member_diffs(ww, vv)), terms, tol,
         "blockwise perturbation inequality fails on the grid", seed,
     )
-    residuals = {"hypothesis_violation": violation}
-    notes: dict[str, object] = {"hypothesis_certificate": certificate}
+    return ({"hypothesis_violation": violation},
+            {"hypothesis_certificate": certificate})
 
-    if lam is LambdaKind.ZERO:
-        if b >= 1.0:
-            raise AdmissibilityFailed(f"b = {b} must be below 1")
-        target_k = k_mat if k_mat is not None else fusion_operator(vv)
-        doug = douglas_check(target_k, fusion_synthesis_matrix(vv))
-        if not doug.range_included:
-            raise AdmissibilityFailed(
-                "operator range escapes the target synthesis range",
-                doug.residual,
-            )
-        upper_w = fusion_bounds(ww).upper
-        predicted = FrameBounds(
-            0.0, upper_w * ((1.0 + a) / (1.0 - b)) ** 2, "predicted"
-        )
-        target_lower = k_lower_bound(KFusionInstance(vv, target_k))
-        actual = FrameBounds(target_lower, fusion_bounds(vv).upper, "optimal")
-        notes |= {
-            "existence_required": True,
-            "flagged_upper_constant": True,
-            "alternative_upper": math.sqrt(upper_w)
-            * ((1.0 + a) / (1.0 - b)) ** 2,
-        }
-        return _bracket_report(
-            "thm4.4.1", predicted, actual, residuals, seed, notes,
-            extra_ok=target_lower > 0.0,
-        )
 
-    if lam is LambdaKind.K_STAR_NORM:
-        base = KFusionInstance(ww, k_mat)
-        lower_w = _require_k_fusion(base, "the source family")
-        upper_w = fusion_bounds(ww).upper
-        if a >= 1.0 or b >= 1.0:
-            raise AdmissibilityFailed(f"a = {a} and b = {b} must both be below 1")
-        root_a = math.sqrt(lower_w) if not math.isinf(lower_w) else math.inf
-        if c / (1.0 - a) >= root_a:
-            raise AdmissibilityFailed(
-                f"c/(1-a) = {c / (1.0 - a):.6e} must stay below sqrt(A)"
-            )
-        k_norm = operator_norm(k_mat)
-        predicted = FrameBounds(
-            ((root_a * (1.0 - a) - c) / (1.0 + b)) ** 2
-            if not math.isinf(root_a)
-            else math.inf,
-            (((1.0 + a) * math.sqrt(upper_w) + c * k_norm) / (1.0 - b)) ** 2,
-            "predicted",
-        )
-        actual = FrameBounds(
-            k_lower_bound(KFusionInstance(vv, k_mat)),
-            fusion_bounds(vv).upper,
-            "optimal",
-        )
-        return _bracket_report("thm4.4.2", predicted, actual, residuals, seed,
-                               notes)
+def check_projection_zero(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFamily,
+                          constants: PerturbationConstants, k=None,
+                          tol: float = DEFAULT_TOL,
+                          seed: int = 0) -> TheoremReport:
+    """Thm 4.4 without a c-term: existence of target bounds.
 
+    Hypothesis: sqrt(sum_i ||(w_i P_i - v_i Q_i) f||^2) <= a sqrt<f, S_W f>
+    + b sqrt<f, S_V f> with b < 1.  Predicted: for any K with range(K)
+    inside the range of the target synthesis map (K defaults to S_V), the
+    target is a K-fusion frame with upper bound B ((1+a)/(1-b))^2.
+    """
+    _paired(ww, vv)
+    target_k = fusion_operator(vv) if k is None else k_operator(k, ww.ambient_dim)
+    a, b = constants.a, constants.b
+    if constants.c != 0.0:
+        raise AdmissibilityFailed("this hypothesis has no c-term")
+    residuals, notes = _blockwise_hypothesis(ww, vv, constants, None, tol, seed)
+    if b >= 1.0:
+        raise AdmissibilityFailed(f"b = {b} must be below 1")
+    doug = douglas_check(target_k, fusion_synthesis_matrix(vv))
+    if not doug.range_included:
+        raise AdmissibilityFailed(
+            "operator range escapes the target synthesis range",
+            doug.residual,
+        )
+    upper_w = fusion_bounds(ww).upper
+    predicted = FrameBounds(
+        0.0, upper_w * ((1.0 + a) / (1.0 - b)) ** 2, "predicted"
+    )
+    actual = k_bounds(vv, target_k)
+    notes |= {
+        "existence_required": True,
+        "flagged_upper_constant": True,
+        "alternative_upper": math.sqrt(upper_w) * ((1.0 + a) / (1.0 - b)) ** 2,
+    }
+    return _bracket_report(
+        "thm4.4.1", predicted, actual, residuals, seed, notes,
+        extra_ok=actual.lower > 0.0,
+    )
+
+
+def check_projection_k_star(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFamily,
+                            k, constants: PerturbationConstants,
+                            tol: float = DEFAULT_TOL,
+                            seed: int = 0) -> TheoremReport:
+    """Thm 4.4 with the c-term c ||K* f||: K-relative bounds on both sides.
+
+    The hypothesis is that of check_projection_zero plus the c-term.
+    Admissible when a, b < 1 and c/(1-a) < sqrt(A).  Predicted:
+    (((1-a) sqrt(A) - c)/(1+b))^2 and (((1+a) sqrt(B) + c ||K||)/(1-b))^2.
+    """
+    _paired(ww, vv)
+    k = k_operator(k, ww.ambient_dim)
+    a, b, c = constants.a, constants.b, constants.c
+    residuals, notes = _blockwise_hypothesis(ww, vv, constants, k, tol, seed)
+    bounds_w = _require_k_fusion(ww, k, "the source family")
+    if a >= 1.0 or b >= 1.0:
+        raise AdmissibilityFailed(f"a = {a} and b = {b} must both be below 1")
+    root_a = math.sqrt(bounds_w.lower)  # inf for the vacuous sentinel
+    if c / (1.0 - a) >= root_a:
+        raise AdmissibilityFailed(
+            f"c/(1-a) = {c / (1.0 - a):.6e} must stay below sqrt(A)"
+        )
+    predicted = FrameBounds(
+        ((root_a * (1.0 - a) - c) / (1.0 + b)) ** 2,
+        (((1.0 + a) * math.sqrt(bounds_w.upper) + c * operator_norm(k))
+         / (1.0 - b)) ** 2,
+        "predicted",
+    )
+    return _bracket_report("thm4.4.2", predicted, k_bounds(vv, k), residuals,
+                           seed, notes)
+
+
+def check_projection_plain(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFamily,
+                           constants: PerturbationConstants,
+                           tol: float = DEFAULT_TOL,
+                           seed: int = 0) -> TheoremReport:
+    """Thm 4.4 with the c-term c ||f||: plain fusion bounds on both sides.
+
+    The hypothesis is that of check_projection_zero plus the c-term.
+    Admissible when b < 1 and a sqrt(B) + c < sqrt(A).  Predicted:
+    ((sqrt(A) - c - a sqrt(B))/(1+b))^2 and (((1+a) sqrt(B) + c)/(1-b))^2.
+    """
+    _paired(ww, vv)
+    a, b, c = constants.a, constants.b, constants.c
+    residuals, notes = _blockwise_hypothesis(
+        ww, vv, constants, np.eye(ww.ambient_dim, dtype=np.complex128), tol, seed)
     bounds_w = fusion_bounds(ww)
     lower_w, upper_w = bounds_w.lower, bounds_w.upper
     if not bounds_w.is_frame():
@@ -707,10 +694,8 @@ def check_projection_perturbation(ww: WeightedSubspaceFamily,
         (((1.0 + a) * math.sqrt(upper_w) + c) / (1.0 - b)) ** 2,
         "predicted",
     )
-    bounds_v = fusion_bounds(vv)
-    actual = FrameBounds(bounds_v.lower, bounds_v.upper, "optimal")
-    return _bracket_report("thm4.4.3", predicted, actual, residuals, seed,
-                           notes)
+    return _bracket_report("thm4.4.3", predicted, fusion_bounds(vv), residuals,
+                           seed, notes)
 
 
 def check_quadratic_perturbation(ww: WeightedSubspaceFamily,
@@ -725,17 +710,12 @@ def check_quadratic_perturbation(ww: WeightedSubspaceFamily,
     follows the source statement; the Cauchy-Schwarz route gives
     B + R ||K||^2, recorded in the notes.
     """
-    if len(ww) != len(vv):
-        raise DimensionMismatch("families must pair members one-to-one")
-    if ww.ambient_dim != vv.ambient_dim:
-        raise DimensionMismatch("families live in different ambient spaces")
+    _paired(ww, vv)
     n = ww.ambient_dim
-    k_mat = as_matrix(k)
-    if k_mat.shape != (n, n):
-        raise DimensionMismatch("operator must be square on the ambient space")
+    k_mat = k_operator(k, n)
     r = float(r)
-    base = KFusionInstance(ww, k_mat)
-    lower_w = _require_k_fusion(base, "the source family")
+    bounds_w = _require_k_fusion(ww, k_mat, "the source family")
+    lower_w, upper_w = bounds_w.lower, bounds_w.upper
     if not (r > 0.0):
         raise HypothesisFailed(f"deviation budget R = {r} must be positive")
     if not math.isinf(lower_w) and r >= lower_w:
@@ -778,20 +758,42 @@ def check_quadratic_perturbation(ww: WeightedSubspaceFamily,
             raise HypothesisFailed(
                 "exact PSD certificate fails for the deviation budget", -gap
             )
-    upper_w = fusion_bounds(ww).upper
     k_norm = operator_norm(k_mat)
     predicted = FrameBounds(
         math.inf if math.isinf(lower_w) else lower_w - r,
         upper_w + r * k_norm,
         "predicted",
     )
-    actual = FrameBounds(
-        k_lower_bound(KFusionInstance(vv, k_mat)),
-        fusion_bounds(vv).upper,
-        "optimal",
-    )
     notes = {"cauchy_schwarz_upper": upper_w + r * k_norm * k_norm}
-    return _bracket_report("prop4.5", predicted, actual, residuals, seed, notes)
+    return _bracket_report("prop4.5", predicted, k_bounds(vv, k_mat), residuals,
+                           seed, notes)
+
+
+def _synthesis_hypothesis(ww: WeightedSubspaceFamily, erased: Sequence[int],
+                          k: np.ndarray, constants: PerturbationConstants,
+                          tol: float, seed: int
+                          ) -> tuple[WeightedSubspaceFamily, float, dict, dict]:
+    """The reduced family, its synthesis norm ||T||, and the residuals and
+    notes of the Thm 4.6/4.7 hypothesis
+
+        ||(K* - T T*) f|| <= a ||K* f|| + b ||T* f|| + c ||f||,
+
+    T the synthesis map of the family minus the erased members.  With one
+    nonzero constant it is decided exactly as a PSD pencil test against
+    K K*, T T* or I; with more it is grid-checked.
+    """
+    n = ww.ambient_dim
+    _, reduced = _split_members(ww, erased)
+    t_norm = operator_norm(fusion_synthesis_matrix(reduced))
+    deviation = k.conj().T - fusion_operator(reduced)
+    violation, certificate = _check_hypothesis(
+        deviation.conj().T,
+        [(constants.a, k), (constants.b, reduced),
+         (constants.c, np.eye(n, dtype=np.complex128))],
+        tol, "synthesis deviation inequality fails on the grid", seed,
+    )
+    return (reduced, t_norm, {"hypothesis_violation": violation},
+            {"hypothesis_certificate": certificate})
 
 
 def check_synthesis_perturbation(ww: WeightedSubspaceFamily,
@@ -799,64 +801,52 @@ def check_synthesis_perturbation(ww: WeightedSubspaceFamily,
                                  k,
                                  constants: PerturbationConstants,
                                  tol: float = DEFAULT_TOL,
-                                 closed_range_variant: bool = False,
                                  seed: int = 0) -> TheoremReport:
-    """Bounds for a reduced family whose Gram synthesis approximates K*.
+    """Thm 4.6: a reduced family whose Gram synthesis approximates K*.
 
-    Hypothesis, with T the synthesis map of the family minus the erased
-    members: ||(K* - T T*) f|| <= a ||K* f|| + b ||T* f|| + c ||f||.  With
-    one nonzero constant it is decided exactly as a PSD pencil test against
-    K K*, T T* or I; with more it is grid-checked.
-
-    Plain variant (c = 0, a < 1): the reduced family is a K-fusion frame on
-    the whole space with lower bound ((1-a)/(b+||T||))^2 and the full
-    family's upper bound.  Closed-range variant (a + c ||Kdag|| < 1): bounds
-    hold on range(K) with lower ((1-a-c||Kdag||)/(b+||T||))^2; the unsquared
-    ratio is recorded in the notes alongside.
+    Hypothesis, T the synthesis map of the family minus the erased
+    members: ||(K* - T T*) f|| <= a ||K* f|| + b ||T* f|| with a < 1.
+    Predicted: the reduced family is a K-fusion frame on the whole space
+    with lower bound ((1-a)/(b+||T||))^2 and the full family's upper bound.
     """
-    n = ww.ambient_dim
-    k_mat = as_matrix(k)
-    if k_mat.shape != (n, n):
-        raise DimensionMismatch("operator must be square on the ambient space")
-    a, b, c = constants.a, constants.b, constants.c
-    _, reduced = _split_members(ww, erased)
-    t_w = fusion_synthesis_matrix(reduced)
-    t_norm = operator_norm(t_w)
-    s_red = fusion_operator(reduced)
-    if closed_range_variant:
-        dag_norm = operator_norm(pinv(k_mat))
-        drag = a + c * dag_norm
-        if drag >= 1.0:
-            raise AdmissibilityFailed(
-                f"a + c ||Kdag|| = {drag:.6e} must stay below 1"
-            )
-    else:
-        if c != 0.0:
-            raise AdmissibilityFailed("the plain variant requires c = 0")
-        if a >= 1.0:
-            raise AdmissibilityFailed(f"a = {a} must be below 1")
-    deviation = k_mat.conj().T - s_red
-    violation, certificate = _check_hypothesis(
-        deviation.conj().T,
-        [(a, k_mat), (b, reduced), (c, np.eye(n, dtype=np.complex128))],
-        tol, "synthesis deviation inequality fails on the grid", seed,
-    )
-    residuals = {"hypothesis_violation": violation}
-    upper_full = fusion_bounds(ww).upper
-    if closed_range_variant:
-        numerator = 1.0 - a - c * dag_norm
-        ratio = _div(numerator, b + t_norm)
-        predicted = FrameBounds(ratio * ratio, upper_full, "predicted")
-        actual_lower, actual_upper = _compressed_pencil(reduced, k_mat)
-        actual = FrameBounds(actual_lower, actual_upper, "optimal")
-        notes = {"unsquared_lower": ratio, "squared_lower": ratio * ratio,
-                 "hypothesis_certificate": certificate}
-        return _bracket_report(
-            "thm4.7", predicted, actual, residuals, seed, notes
-        )
+    k = k_operator(k, ww.ambient_dim)
+    a, b = constants.a, constants.b
+    if constants.c != 0.0:
+        raise AdmissibilityFailed("this hypothesis has no c-term")
+    if a >= 1.0:
+        raise AdmissibilityFailed(f"a = {a} must be below 1")
+    reduced, t_norm, residuals, notes = _synthesis_hypothesis(
+        ww, erased, k, constants, tol, seed)
     ratio = _div(1.0 - a, b + t_norm)
-    predicted = FrameBounds(ratio * ratio, upper_full, "predicted")
-    lower = k_lower_bound(KFusionInstance(reduced, k_mat))
-    actual = FrameBounds(lower, fusion_bounds(reduced).upper, "optimal")
-    return _bracket_report("thm4.6", predicted, actual, residuals, seed,
-                           {"hypothesis_certificate": certificate})
+    predicted = FrameBounds(ratio * ratio, fusion_bounds(ww).upper, "predicted")
+    return _bracket_report("thm4.6", predicted, k_bounds(reduced, k), residuals,
+                           seed, notes)
+
+
+def check_synthesis_closed_range(ww: WeightedSubspaceFamily,
+                                 erased: Sequence[int],
+                                 k,
+                                 constants: PerturbationConstants,
+                                 tol: float = DEFAULT_TOL,
+                                 seed: int = 0) -> TheoremReport:
+    """Thm 4.7: the Thm 4.6 hypothesis with a c-term, for K of closed range.
+
+    Admissible when a + c ||Kdag|| < 1.  Predicted: bounds on range(K) with
+    lower ((1-a-c||Kdag||)/(b+||T||))^2 and the full family's upper bound;
+    the unsquared ratio is recorded in the notes alongside.
+    """
+    k = k_operator(k, ww.ambient_dim)
+    a, b, c = constants.a, constants.b, constants.c
+    dag_norm = operator_norm(pinv(k))
+    drag = a + c * dag_norm
+    if drag >= 1.0:
+        raise AdmissibilityFailed(
+            f"a + c ||Kdag|| = {drag:.6e} must stay below 1"
+        )
+    reduced, t_norm, residuals, notes = _synthesis_hypothesis(
+        ww, erased, k, constants, tol, seed)
+    ratio = _div(1.0 - a - c * dag_norm, b + t_norm)
+    predicted = FrameBounds(ratio * ratio, fusion_bounds(ww).upper, "predicted")
+    notes |= {"unsquared_lower": ratio, "squared_lower": ratio * ratio}
+    return _bracket_report("thm4.7", predicted, _compressed_pencil(reduced, k),
+                           residuals, seed, notes)

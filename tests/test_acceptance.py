@@ -29,7 +29,7 @@ from framekit.instances import (
     gen_operator,
     spanning_family,
 )
-from framekit.kfusion import KFusionInstance, k_lower_bound
+from framekit.kfusion import k_lower_bound
 from framekit.numerics import (
     Subspace,
     douglas_check,
@@ -43,10 +43,9 @@ from framekit.numerics import (
 )
 from framekit.serialize import dumps_instance
 from framekit.theorems import (
-    LambdaKind,
     PerturbationConstants,
     check_operator_perturbation,
-    check_projection_perturbation,
+    check_projection_plain,
     check_synthesis_perturbation,
 )
 
@@ -237,8 +236,7 @@ def test_criterion_5_bound_oracle_agreement(capsys):
         dim = int(rng.integers(2, 9))
         family = spanning_family(rng, dim, trial % 2 == 0)
         k = gaussian_matrix(rng, dim, dim, trial % 2 == 0)
-        inst = KFusionInstance(family, k)
-        closed = k_lower_bound(inst)
+        closed = k_lower_bound(family, k)
         oracle = psd_scale_bisection(fusion_operator(family), k @ k.conj().T)
         if not agree(closed, oracle):
             failures += 1
@@ -247,8 +245,7 @@ def test_criterion_5_bound_oracle_agreement(capsys):
         rng = make_rng(child_seed(502, trial))
         dim = int(rng.integers(2, 9))
         family = spanning_family(rng, dim, trial % 2 == 0)
-        inst = KFusionInstance(family, np.zeros((dim, dim)))
-        closed = k_lower_bound(inst)
+        closed = k_lower_bound(family, np.zeros((dim, dim)))
         oracle = psd_scale_bisection(fusion_operator(family), np.zeros((dim, dim)))
         if not (math.isinf(closed) and math.isinf(oracle)):
             zero_failures += 1
@@ -261,8 +258,7 @@ def test_criterion_5_bound_oracle_agreement(capsys):
         family = WeightedSubspaceFamily(
             dim, ((member, float(rng.uniform(0.5, 2.0))),)
         )
-        inst = KFusionInstance(family, np.eye(dim))
-        closed = k_lower_bound(inst)
+        closed = k_lower_bound(family, np.eye(dim))
         oracle = psd_scale_bisection(fusion_operator(family), np.eye(dim))
         if closed != 0.0 or not agree(closed, oracle):
             leak_failures += 1
@@ -319,9 +315,7 @@ def test_criterion_7_exactness_pinpoints(capsys):
 
     # identical families: the transfer formulas collapse to (A, B) = (1, 4)
     fam = WeightedSubspaceFamily(2, ((axis(2, 0), 1.0), (axis(2, 1), 2.0)))
-    report = check_projection_perturbation(
-        fam, fam, PerturbationConstants(0.0, 0.0), LambdaKind.PLAIN_NORM
-    )
+    report = check_projection_plain(fam, fam, PerturbationConstants(0.0, 0.0))
     deviations.append(abs(report.predicted.lower - 1.0))
     deviations.append(abs(report.predicted.upper - 4.0))
     deviations.append(abs(report.actual.lower - 1.0))

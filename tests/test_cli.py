@@ -10,6 +10,7 @@ import framekit.cli
 from framekit.cli import main
 from framekit.errors import (
     DimensionMismatch,
+    HypothesisFailed,
     IllConditionedSplit,
     NonFinite,
     NotHermitian,
@@ -17,7 +18,7 @@ from framekit.errors import (
     NotSquare,
     OracleMismatch,
 )
-from framekit.instances import GenSpec, build_instance
+from framekit.instances import GenSpec, build_instance, check_instance
 from framekit.serialize import dumps_instance, loads_instance
 
 
@@ -292,6 +293,23 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err == "framekit: NonFinite: matrix has non-finite entries\n"
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("factor", [1.0, 1e10, 1e40])
+    def test_scaled_erasure_overload_exits_two(self, tmp_path, capsys, factor):
+        # scaling every weight leaves the erased mass equal to the lower
+        # bound; only a rounding residue of either sign is left of the
+        # difference, and it must not decide the verdict
+        for seed in range(5):
+            inst = build_instance("thm3.4", GenSpec(seed, 4, "erasure_overload"))
+            obj = json.loads(dumps_instance(inst))
+            for member in obj["members"]:
+                member["weight"] *= factor
+            path = tmp_path / f"scaled_{seed}.json"
+            path.write_text(json.dumps(obj))
+            with pytest.raises(HypothesisFailed):
+                check_instance(loads_instance(path.read_text()))
+            assert main(["check", str(path)]) == 2
+        capsys.readouterr()
 
     @pytest.mark.parametrize("error", [
         OracleMismatch, NotHermitian, NotPSD, IllConditionedSplit,

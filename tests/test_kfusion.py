@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from framekit._rng import gaussian_matrix, make_rng
 from framekit.frame_core import WeightedSubspaceFamily, fusion_bounds, fusion_operator
-from framekit.kfusion import KFusionInstance, decide, k_lower_bound, verify_k_fusion
+from framekit.kfusion import decide, k_lower_bound, verify_k_fusion
 from framekit.numerics import Subspace, douglas_check, operator_norm
 
 
@@ -40,24 +40,21 @@ class TestKLowerBound:
     def test_diagonal_hand_oracle(self):
         # S_W = diag(4, 9), K K* = diag(1, 1): largest a is min eigenvalue 4
         family = weighted_axes([2.0, 3.0])
-        inst = KFusionInstance(family, np.eye(2))
-        assert k_lower_bound(inst) == pytest.approx(4.0, rel=1e-12)
+        assert k_lower_bound(family, np.eye(2)) == pytest.approx(4.0, rel=1e-12)
 
     def test_partial_operator(self):
         # K = P_{e1}: only the first diagonal entry of S_W matters
         family = weighted_axes([2.0, 3.0])
-        inst = KFusionInstance(family, np.diag([1.0, 0.0]))
-        assert k_lower_bound(inst) == pytest.approx(4.0, rel=1e-12)
+        assert k_lower_bound(family, np.diag([1.0, 0.0])) == pytest.approx(
+            4.0, rel=1e-12)
 
     def test_zero_operator_is_vacuous(self):
-        inst = KFusionInstance(weighted_axes([1.0, 1.0]), np.zeros((2, 2)))
-        assert math.isinf(k_lower_bound(inst))
+        assert math.isinf(k_lower_bound(weighted_axes([1.0, 1.0]), np.zeros((2, 2))))
 
     def test_range_leak_gives_exact_zero(self):
         # S_W lives on e1 only; K reaches e2
         family = WeightedSubspaceFamily(2, ((axis_subspace(2, 0), 1.0),))
-        inst = KFusionInstance(family, np.eye(2))
-        assert k_lower_bound(inst) == 0.0
+        assert k_lower_bound(family, np.eye(2)) == 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -67,8 +64,8 @@ class TestKLowerBound:
     def test_scaling_law(self, seed, scale):
         family = random_family(seed, 4, 3)
         k = gaussian_matrix(make_rng(seed + 7), 4, 4, False)
-        base = k_lower_bound(KFusionInstance(family, k))
-        scaled = k_lower_bound(KFusionInstance(family, scale * k))
+        base = k_lower_bound(family, k)
+        scaled = k_lower_bound(family, scale * k)
         assert scaled == pytest.approx(base / scale**2, rel=1e-8)
 
     def test_fusion_frame_bound_floor(self):
@@ -80,7 +77,7 @@ class TestKLowerBound:
                 continue
             k = gaussian_matrix(make_rng(seed), 4, 4, seed % 2 == 0)
             floor = bounds.lower / operator_norm(k) ** 2
-            got = k_lower_bound(KFusionInstance(family, k))
+            got = k_lower_bound(family, k)
             assert got >= floor * (1.0 - 1e-10)
 
 
@@ -98,7 +95,7 @@ class TestDecide:
                     ambient,
                     ((Subspace.from_span(vecs[:, 1:]), 1.0),),
                 )
-            verdict = decide(KFusionInstance(family, k))
+            verdict = decide(family, k)
             sw = fusion_operator(family)
             douglas = douglas_check(k, sw)
             assert verdict.is_k_fusion == douglas.range_included
@@ -109,7 +106,7 @@ class TestDecide:
         family = WeightedSubspaceFamily(
             3, ((axis_subspace(3, 0), 1.0), (axis_subspace(3, 1), 1.0))
         )
-        verdict = decide(KFusionInstance(family, np.eye(3)))
+        verdict = decide(family, np.eye(3))
         assert not verdict.is_k_fusion
         assert verdict.bounds.lower == 0.0
         w = verdict.witness
@@ -121,14 +118,12 @@ class TestDecide:
         assert abs(w[2]) == pytest.approx(1.0, abs=1e-10)
 
     def test_member_has_no_witness(self):
-        verdict = decide(KFusionInstance(weighted_axes([1.0, 1.0]), np.eye(2)))
+        verdict = decide(weighted_axes([1.0, 1.0]), np.eye(2))
         assert verdict.is_k_fusion
         assert verdict.witness is None
 
     def test_zero_operator_member_without_witness(self):
-        verdict = decide(
-            KFusionInstance(weighted_axes([1.0, 1.0]), np.zeros((2, 2)))
-        )
+        verdict = decide(weighted_axes([1.0, 1.0]), np.zeros((2, 2)))
         assert verdict.is_k_fusion
         assert math.isinf(verdict.bounds.lower)
         assert verdict.witness is None
@@ -139,9 +134,10 @@ class TestVerify:
         for seed in range(6):
             family = random_family(400 + seed, 5, 3, seed % 2 == 0)
             k = gaussian_matrix(make_rng(seed), 5, 5, seed % 2 == 0)
-            verdict = decide(KFusionInstance(family, k))
+            verdict = decide(family, k)
             report = verify_k_fusion(
-                KFusionInstance(family, k),
+                family,
+                k,
                 verdict.bounds.lower,
                 verdict.bounds.upper,
                 n_samples=200,
@@ -153,22 +149,24 @@ class TestVerify:
 
     def test_overstated_lower_bound_flagged(self):
         family = weighted_axes([2.0, 3.0])
-        inst = KFusionInstance(family, np.eye(2))
-        report = verify_k_fusion(inst, 4.5, 9.0, n_samples=50, seed=1)
+        report = verify_k_fusion(family, np.eye(2), 4.5, 9.0, n_samples=50, seed=1)
         # e1 has S_W-energy 4 < 4.5: eigenvector probe catches it
         assert report.worst_lower_margin < -0.4
 
     def test_infinite_lower_is_vacuous(self):
-        inst = KFusionInstance(weighted_axes([1.0, 1.0]), np.zeros((2, 2)))
-        report = verify_k_fusion(inst, math.inf, 1.0, n_samples=20, seed=0)
+        report = verify_k_fusion(weighted_axes([1.0, 1.0]), np.zeros((2, 2)),
+                                 math.inf, 1.0, n_samples=20, seed=0)
         assert report.worst_lower_margin >= 0.0
         assert report.worst_upper_margin >= -1e-12
 
     def test_shape_mismatch_rejected(self):
         from framekit.errors import DimensionMismatch
 
-        with pytest.raises(DimensionMismatch):
-            KFusionInstance(weighted_axes([1.0, 1.0]), np.eye(3))
+        family = weighted_axes([1.0, 1.0])
+        for call in (k_lower_bound, decide,
+                     lambda fam, k: verify_k_fusion(fam, k, 1.0, 1.0)):
+            with pytest.raises(DimensionMismatch):
+                call(family, np.eye(3))
 
 
 def count_fusion_eighs(monkeypatch, family):
@@ -192,9 +190,9 @@ class TestFusionEigReuse:
         calls = count_fusion_eighs(monkeypatch, family)
         rng = make_rng(9)
         for _ in range(4):
-            inst = KFusionInstance(family, gaussian_matrix(rng, 6, 6, True))
-            lower = k_lower_bound(inst)
-        verify_k_fusion(inst, lower, fusion_bounds(family).upper, seed=3)
+            k = gaussian_matrix(rng, 6, 6, True)
+            lower = k_lower_bound(family, k)
+        verify_k_fusion(family, k, lower, fusion_bounds(family).upper, seed=3)
         assert len(calls) == 1
 
     def test_drazin_check_eigendecomposes_the_family_once(self, monkeypatch):

@@ -73,3 +73,23 @@ def test_checkers_are_looked_up_when_they_run(monkeypatch, tid):
             )
     check_instance(inst)
     assert len(called) == 1
+
+
+def test_each_theorem_has_its_own_checker(monkeypatch):
+    # one public checker per statement: no checker serves two ids through
+    # a mode flag, and none is left without an id
+    names = [name for name in theorems.__all__ if name.startswith("check_")]
+    called = []
+    for name in names:
+        monkeypatch.setattr(
+            instances, name,
+            lambda *args, _name=name, **kwargs: called.append(_name),
+        )
+    served = {}
+    for tid, entry in REGISTRY.items():
+        called.clear()
+        check_instance(build_instance(tid, GenSpec(7, 4, entry.scenarios[0])))
+        assert len(called) == 1, tid
+        served[tid] = called[0]
+    assert len(served) == 10
+    assert sorted(served.values()) == sorted(names)

@@ -21,7 +21,7 @@ from framekit.errors import (
 )
 from framekit.frame_core import WeightedSubspaceFamily, fusion_bounds, fusion_operator
 from framekit.instances import GenSpec, build_instance, check_instance
-from framekit.kfusion import KFusionInstance, k_lower_bound
+from framekit.kfusion import k_lower_bound
 from framekit.numerics import (
     Subspace,
     hermitian_eig,
@@ -32,7 +32,6 @@ from framekit.numerics import (
 )
 from framekit.theorems import (
     GRID_SAMPLES,
-    LambdaKind,
     PerturbationConstants,
     _exact_hypothesis,
     _grid,
@@ -43,8 +42,11 @@ from framekit.theorems import (
     check_erasure,
     check_image_under_k,
     check_operator_perturbation,
-    check_projection_perturbation,
+    check_projection_k_star,
+    check_projection_plain,
+    check_projection_zero,
     check_quadratic_perturbation,
+    check_synthesis_closed_range,
     check_synthesis_perturbation,
 )
 
@@ -74,13 +76,12 @@ def random_spanning_family(seed, ambient, extra=2, complex_scalars=False):
 
 class TestImageUnderK:
     def fixture(self):
-        family = weighted_axes([2.0, 3.0])
-        return KFusionInstance(family, np.diag([1.0, 0.0]))
+        return weighted_axes([2.0, 3.0]), np.diag([1.0, 0.0])
 
     def test_hand_oracle(self):
         # S_W = diag(4,9); K = P_e1 annihilates the second member, so the
         # image family is {(e1, 2), (0, 3)} with optimal K-bounds (4, 4)
-        report = check_image_under_k(self.fixture(), seed=3)
+        report = check_image_under_k(*self.fixture(), seed=3)
         assert report.passed
         assert report.theorem_id == "thm3.1"
         assert report.seed == 3
@@ -93,20 +94,19 @@ class TestImageUnderK:
 
     def test_identity_operator_is_exact(self):
         family = random_spanning_family(5, 4)
-        report = check_image_under_k(KFusionInstance(family, np.eye(4)))
+        report = check_image_under_k(family, np.eye(4))
         assert report.passed
         assert report.predicted.lower == pytest.approx(report.actual.lower)
 
     def test_non_idempotent_rejected(self):
-        inst = KFusionInstance(weighted_axes([1.0, 1.0]), 1.5 * np.diag([1.0, 0.0]))
         with pytest.raises(HypothesisFailed):
-            check_image_under_k(inst)
+            check_image_under_k(weighted_axes([1.0, 1.0]), 1.5 * np.diag([1.0, 0.0]))
 
     def test_range_leak_rejected(self):
         # family misses e2 entirely, K = I reaches it
         family = WeightedSubspaceFamily(2, ((axis_subspace(2, 0), 1.0),))
         with pytest.raises(HypothesisFailed):
-            check_image_under_k(KFusionInstance(family, np.eye(2)))
+            check_image_under_k(family, np.eye(2))
 
 
 class TestDrazinCompositions:
@@ -114,7 +114,7 @@ class TestDrazinCompositions:
         # S_W = I; K = diag(2,0) has Drazin inverse diag(1/2,0), index 1.
         # A_K = 1/4, ||S|| = 1/2: predicted lowers 4, 1, 1 all exact.
         family = weighted_axes([1.0, 1.0])
-        report = check_drazin(KFusionInstance(family, np.diag([2.0, 0.0])))
+        report = check_drazin(family, np.diag([2.0, 0.0]))
         assert report.passed
         assert report.theorem_id == "lem3.2"
         assert report.notes["drazin_index"] == 1
@@ -137,7 +137,7 @@ class TestDrazinCompositions:
         family = random_spanning_family(9, 4)
         k = gaussian_matrix(make_rng(2), 4, 4, False)
         k += 3.0 * np.eye(4)  # keep it comfortably invertible
-        report = check_drazin(KFusionInstance(family, k))
+        report = check_drazin(family, k)
         assert report.passed
         assert report.notes["drazin_index"] == 1
 
@@ -145,7 +145,7 @@ class TestDrazinCompositions:
         # K = diag(2) + J_2: core {2}, nilpotent Jordan block of index 2
         k = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
         family = weighted_axes([1.0, 1.0, 1.0])
-        report = check_drazin(KFusionInstance(family, k))
+        report = check_drazin(family, k)
         assert report.passed
         assert report.notes["drazin_index"] == 2
 
@@ -153,7 +153,7 @@ class TestDrazinCompositions:
         family = weighted_axes([1.0, 1.0])
         nil = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ZeroDrazin):
-            check_drazin(KFusionInstance(family, nil))
+            check_drazin(family, nil)
 
 
 class TestErasure:
@@ -165,13 +165,12 @@ class TestErasure:
             (axis_subspace(2, 1), 1.0),
             (axis_subspace(2, 0), 0.5),
         )
-        family = WeightedSubspaceFamily(2, members)
-        return KFusionInstance(family, np.eye(2))
+        return WeightedSubspaceFamily(2, members), np.eye(2)
 
     def test_hand_oracle(self):
         # S_W = diag(2.25, 2), erase the weight-0.5 copy: predicted lower
         # 2 - 0.25 = 1.75, reduced operator diag(2, 2)
-        report = check_erasure(self.fixture(), erased=[4])
+        report = check_erasure(*self.fixture(), erased=[4])
         assert report.passed
         assert report.theorem_id == "thm3.4"
         assert report.predicted.lower == pytest.approx(1.75, rel=1e-12)
@@ -183,17 +182,16 @@ class TestErasure:
 
     def test_overloaded_erasure_rejected(self):
         # Parseval axes: erasing any member wipes out the whole margin
-        inst = KFusionInstance(weighted_axes([1.0, 1.0]), np.eye(2))
         with pytest.raises(HypothesisFailed):
-            check_erasure(inst, erased=[0])
+            check_erasure(weighted_axes([1.0, 1.0]), np.eye(2), erased=[0])
 
     def test_erasing_everything_rejected(self):
         with pytest.raises(ValueError):
-            check_erasure(self.fixture(), erased=[0, 1, 2, 3, 4])
+            check_erasure(*self.fixture(), erased=[0, 1, 2, 3, 4])
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError):
-            check_erasure(self.fixture(), erased=[7])
+            check_erasure(*self.fixture(), erased=[7])
 
 
 class TestOperatorPerturbation:
@@ -265,9 +263,7 @@ class TestOperatorPerturbation:
 class TestProjectionPerturbation:
     def test_existence_variant_identical_families(self):
         family = weighted_axes([1.0, 2.0])
-        report = check_projection_perturbation(
-            family, family, PerturbationConstants(0.0, 0.0), LambdaKind.ZERO
-        )
+        report = check_projection_zero(family, family, PerturbationConstants(0.0, 0.0))
         assert report.passed
         assert report.theorem_id == "thm4.4.1"
         assert report.predicted.lower == 0.0
@@ -283,18 +279,16 @@ class TestProjectionPerturbation:
         # synthesis only spans e1 and K = I escapes it
         family = WeightedSubspaceFamily(2, ((axis_subspace(2, 0), 1.0),))
         with pytest.raises(AdmissibilityFailed):
-            check_projection_perturbation(
-                family, family, PerturbationConstants(0.0, 0.0), LambdaKind.ZERO,
-                k=np.eye(2),
+            check_projection_zero(
+                family, family, PerturbationConstants(0.0, 0.0), k=np.eye(2),
             )
 
     def test_relative_variant_identical_families_exact(self):
         family = weighted_axes([1.0, 2.0])
         k = np.array([[1.0, 1.0], [0.0, 1.0]])
-        base = k_lower_bound(KFusionInstance(family, k))
-        report = check_projection_perturbation(
-            family, family, PerturbationConstants(0.0, 0.0), LambdaKind.K_STAR_NORM,
-            k=k,
+        base = k_lower_bound(family, k)
+        report = check_projection_k_star(
+            family, family, k, PerturbationConstants(0.0, 0.0)
         )
         assert report.passed
         assert report.theorem_id == "thm4.4.2"
@@ -305,32 +299,20 @@ class TestProjectionPerturbation:
     def test_relative_variant_a_at_one_rejected(self):
         family = weighted_axes([1.0, 1.0])
         with pytest.raises(AdmissibilityFailed):
-            check_projection_perturbation(
-                family, family, PerturbationConstants(1.2, 0.0),
-                LambdaKind.K_STAR_NORM, k=np.eye(2),
+            check_projection_k_star(
+                family, family, np.eye(2), PerturbationConstants(1.2, 0.0)
             )
 
     def test_relative_variant_c_eats_lower_bound(self):
         family = weighted_axes([1.0, 1.0])
         with pytest.raises(AdmissibilityFailed):
-            check_projection_perturbation(
-                family, family, PerturbationConstants(0.0, 0.0, 1.5),
-                LambdaKind.K_STAR_NORM, k=np.eye(2),
-            )
-
-    def test_relative_variant_requires_operator(self):
-        family = weighted_axes([1.0, 1.0])
-        with pytest.raises(ValueError):
-            check_projection_perturbation(
-                family, family, PerturbationConstants(0.0, 0.0),
-                LambdaKind.K_STAR_NORM,
+            check_projection_k_star(
+                family, family, np.eye(2), PerturbationConstants(0.0, 0.0, 1.5)
             )
 
     def test_plain_variant_identical_families_exact(self):
         family = weighted_axes([1.0, 2.0])
-        report = check_projection_perturbation(
-            family, family, PerturbationConstants(0.0, 0.0), LambdaKind.PLAIN_NORM
-        )
+        report = check_projection_plain(family, family, PerturbationConstants(0.0, 0.0))
         assert report.passed
         assert report.theorem_id == "thm4.4.3"
         assert report.predicted.lower == pytest.approx(1.0, rel=1e-12)
@@ -344,9 +326,7 @@ class TestProjectionPerturbation:
             vv = WeightedSubspaceFamily(
                 4, tuple((s, t * w) for s, w in ww.members)
             )
-            report = check_projection_perturbation(
-                ww, vv, PerturbationConstants(1.0 - t, 0.0), LambdaKind.PLAIN_NORM
-            )
+            report = check_projection_plain(ww, vv, PerturbationConstants(1.0 - t, 0.0))
             assert report.passed, f"t={t}"
             bounds = fusion_bounds(ww)
             assert report.actual.lower == pytest.approx(
@@ -359,26 +339,21 @@ class TestProjectionPerturbation:
             2, tuple((s, 0.5 * w) for s, w in ww.members)
         )
         with pytest.raises(HypothesisFailed):
-            check_projection_perturbation(
-                ww, vv, PerturbationConstants(0.0, 0.0), LambdaKind.PLAIN_NORM
-            )
+            check_projection_plain(ww, vv, PerturbationConstants(0.0, 0.0))
 
     def test_plain_variant_transfer_overdrawn(self):
         # a sqrt(B) + c >= sqrt(A) leaves no lower bound to transfer
         family = weighted_axes([1.0, 1.0])
         with pytest.raises(AdmissibilityFailed):
-            check_projection_perturbation(
-                family, family, PerturbationConstants(0.9, 0.0, 0.3),
-                LambdaKind.PLAIN_NORM,
+            check_projection_plain(
+                family, family, PerturbationConstants(0.9, 0.0, 0.3)
             )
 
     def test_member_count_mismatch_rejected(self):
         ww = weighted_axes([1.0, 1.0])
         vv = WeightedSubspaceFamily(2, ((axis_subspace(2, 0), 1.0),))
         with pytest.raises(DimensionMismatch):
-            check_projection_perturbation(
-                ww, vv, PerturbationConstants(0.0, 0.0), LambdaKind.PLAIN_NORM
-            )
+            check_projection_plain(ww, vv, PerturbationConstants(0.0, 0.0))
 
 
 class TestQuadraticPerturbation:
@@ -449,14 +424,13 @@ class TestSynthesisPerturbation:
         assert report.predicted.upper == pytest.approx(1.25, rel=1e-12)
         assert report.actual.upper == pytest.approx(1.0, rel=1e-12)
 
-    def test_closed_range_variant_hand_oracle(self):
+    def test_closed_range_hand_oracle(self):
         # K = 1.5 I against the reduced identity: deviation 0.5||f||, and
         # 1 - c/1.5 = 2/3 squared meets the compressed bound 1/2.25
         ww = self.parseval_with_spare()
-        report = check_synthesis_perturbation(
+        report = check_synthesis_closed_range(
             ww, erased=[2], k=1.5 * np.eye(2),
             constants=PerturbationConstants(0.0, 0.0, 0.5),
-            closed_range_variant=True,
         )
         assert report.passed
         assert report.theorem_id == "thm4.7"
@@ -498,10 +472,9 @@ class TestSynthesisPerturbation:
     def test_closed_range_drag_at_one_rejected(self):
         ww = self.parseval_with_spare()
         with pytest.raises(AdmissibilityFailed):
-            check_synthesis_perturbation(
+            check_synthesis_closed_range(
                 ww, erased=[2], k=np.eye(2),
                 constants=PerturbationConstants(0.6, 0.0, 0.5),
-                closed_range_variant=True,
             )
 
 
