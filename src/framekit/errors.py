@@ -25,20 +25,8 @@ class DimensionMismatch(FramekitError):
     pass
 
 
-class BlockOutsideSubspace(FramekitError):
-    pass
-
-
 class NotAFusionFrame(FramekitError):
     pass
-
-
-class LocalVectorOutsideSubspace(FramekitError):
-    pass
-
-
-class DeficientLocalFrame(FramekitError):
-    """A local frame fails to span its subspace with a positive lower bound."""
 
 
 class NonFinite(FramekitError, ValueError):

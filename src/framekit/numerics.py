@@ -50,7 +50,6 @@ __all__ = [
     "max_psd_scale",
     "one_blas_thread",
     "psd_scale_bisection",
-    "projection_lemma_check",
 ]
 
 
@@ -300,10 +299,6 @@ class Subspace:
         return cls(ambient_dim, np.zeros((ambient_dim, 0), dtype=np.complex128))
 
     @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.eye(ambient_dim, dtype=np.complex128))
-
-    @classmethod
     def from_span(cls, vectors) -> "Subspace":
         """Orthonormalize a spanning set (columns) into a Subspace."""
         return range_basis(as_matrix(vectors))
@@ -488,21 +483,3 @@ def max_psd_scale(sw, g, *, sw_eig: EigenResult | None = None) -> float:
     _certify_psd_scale(hermitian_part(sw), gh, closed,
                        max(abs(sw_w[0]), abs(sw_w[-1])))
     return closed
-
-
-def projection_lemma_check(t, w: Subspace, v: Subspace) -> bool:
-    """Whether P_W T* P_V agrees with P_W T* within 1e-10.
-
-    Equivalent to T(W) <= V; the equivalence is exercised in the tests via
-    an independent range-inclusion computation.
-    """
-    t = as_matrix(t)
-    if t.shape != (v.ambient_dim, w.ambient_dim):
-        raise DimensionMismatch(
-            f"operator shape {t.shape} does not map dim {w.ambient_dim} "
-            f"into dim {v.ambient_dim}"
-        )
-    pw = projector(w)
-    pv = projector(v)
-    t_adj = t.conj().T
-    return operator_norm(pw @ t_adj @ pv - pw @ t_adj) <= 1e-10

@@ -210,15 +210,17 @@ def check_image_under_k(family: WeightedSubspaceFamily, k,
 
     Hypotheses: K is idempotent, the family is a K-fusion frame, and the
     pseudoinverse maps each image subspace back into its source.  Predicted
-    bounds: A / ||K||^2 and B ||Kdag||^2 ||K||^2.
+    bounds: A / ||K||^2 and B ||Kdag||^2 ||K||^2.  Idempotency is judged
+    against ``tol * ||K||``: a nonzero idempotent has norm at least 1, and
+    an absolute test would accept any operator of norm below ``tol``.
     """
     n = family.ambient_dim
     k = k_operator(k, n)
+    k_norm = operator_norm(k)
     idem_residual = operator_norm(k @ k - k)
-    if idem_residual > tol:
+    if idem_residual > tol * k_norm:
         raise HypothesisFailed("operator is not idempotent", idem_residual)
     k_dag = pinv(k)
-    k_norm = operator_norm(k)
     dag_norm = operator_norm(k_dag)
     eye = np.eye(n)
     containment = 0.0
@@ -351,7 +353,8 @@ def check_erasure(family: WeightedSubspaceFamily, k, erased: Sequence[int],
     With C the erased weight mass sum of v_i^2, the reduced family obeys
     (A - C ||Kdag||^2) ||K* f||^2 <= energy <= B ||f||^2 on range(K),
     provided A - C ||Kdag||^2 > 0; a difference at or below ``tol * A``
-    is rounding, and rejected.
+    is rounding, and rejected with the shortfall ``tol * A - difference``
+    as its residual.
     """
     k = k_operator(k, family.ambient_dim)
     dropped, reduced = _split_members(family, erased)
@@ -365,7 +368,7 @@ def check_erasure(family: WeightedSubspaceFamily, k, erased: Sequence[int],
         if predicted_lower <= tol * bounds.lower:
             raise HypothesisFailed(
                 "erased weight mass wipes out the lower bound",
-                -predicted_lower,
+                tol * bounds.lower - predicted_lower,
             )
     predicted = FrameBounds(predicted_lower, bounds.upper, "predicted")
     residuals = {"erased_mass": mass}

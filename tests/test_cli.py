@@ -294,6 +294,20 @@ class TestCheck:
         assert err == "framekit: NonFinite: matrix has non-finite entries\n"
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("s", [1e-17, 1e-12, 1e-10, 1e-6])
+    def test_tiny_non_idempotent_operator_exits_two(self, tmp_path, capsys, s):
+        # K = s [[0, 1], [1, 0]] is not idempotent at any s > 0, however
+        # small its residual ||K^2 - K|| is
+        inst = build_instance("thm3.1", GenSpec(59298, 2, "non_idempotent"))
+        obj = json.loads(dumps_instance(inst))
+        obj["operators"]["K"] = [[0.0, s], [s, 0.0]]
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(HypothesisFailed, match="not idempotent"):
+            check_instance(loads_instance(path.read_text()))
+        assert main(["check", str(path)]) == 2
+        capsys.readouterr()
+
     @pytest.mark.parametrize("factor", [1.0, 1e10, 1e40])
     def test_scaled_erasure_overload_exits_two(self, tmp_path, capsys, factor):
         # scaling every weight leaves the erased mass equal to the lower
@@ -306,8 +320,10 @@ class TestCheck:
                 member["weight"] *= factor
             path = tmp_path / f"scaled_{seed}.json"
             path.write_text(json.dumps(obj))
-            with pytest.raises(HypothesisFailed):
+            with pytest.raises(HypothesisFailed) as failed:
                 check_instance(loads_instance(path.read_text()))
+            # the residual is the shortfall against tol * A, never negative
+            assert failed.value.residual >= 0.0
             assert main(["check", str(path)]) == 2
         capsys.readouterr()
 

@@ -1,5 +1,5 @@
-"""Tests for vector frames, weighted subspace families, and the fusion
-analysis/synthesis/reconstruction pipeline."""
+"""Tests for weighted subspace families, their fusion operator and bounds,
+and the analysis/reconstruction pair on the synthesis matrix."""
 
 import math
 
@@ -7,30 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framekit._rng import gaussian_matrix, make_rng, standard_normal
-from framekit.errors import (
-    BlockOutsideSubspace,
-    DeficientLocalFrame,
-    DimensionMismatch,
-    LocalVectorOutsideSubspace,
-    NotAFusionFrame,
-)
+from framekit._rng import gaussian_matrix, make_rng
+from framekit.errors import DimensionMismatch, NotAFusionFrame
 from framekit.frame_core import (
-    BlockVector,
     FrameBounds,
-    VectorFrame,
     WeightedSubspaceFamily,
-    frame_bounds,
-    frame_operator,
     fusion_analysis,
     fusion_bounds,
     fusion_operator,
-    fusion_synthesis,
     fusion_synthesis_matrix,
-    lift_local_frames,
     reconstruct,
 )
-from framekit.numerics import Subspace, operator_norm
+from framekit.numerics import Subspace
 
 
 def axis_subspace(ambient, index):
@@ -48,35 +36,6 @@ def random_family(seed, ambient, n_members, complex_scalars=False):
         weight = float(rng.uniform(0.5, 2.0))
         members.append((Subspace(ambient, q[:, :dim]), weight))
     return WeightedSubspaceFamily(ambient, tuple(members))
-
-
-class TestVectorFrame:
-    def test_mercedes_like_bounds(self):
-        # {e1, e2, e1+e2}: frame operator [[2,1],[1,2]], spectrum {1, 3}
-        frame = VectorFrame(2, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-        bounds = frame_bounds(frame)
-        assert bounds.lower == pytest.approx(1.0, abs=1e-12)
-        assert bounds.upper == pytest.approx(3.0, abs=1e-12)
-        assert bounds.is_frame()
-
-    def test_parseval_axes(self):
-        frame = VectorFrame(3, np.eye(3))
-        np.testing.assert_allclose(frame_operator(frame), np.eye(3), atol=1e-15)
-        bounds = frame_bounds(frame)
-        assert bounds.lower == pytest.approx(1.0)
-        assert bounds.upper == pytest.approx(1.0)
-
-    def test_deficient_frame_detected(self):
-        frame = VectorFrame(3, np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
-        assert not frame_bounds(frame).is_frame()
-
-    def test_wrong_vector_length_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            VectorFrame(3, np.eye(2))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            VectorFrame(3, np.zeros((0, 3)))
 
 
 class TestFrameBounds:
@@ -194,51 +153,30 @@ class TestFusionOperator:
 
 
 class TestAnalysisSynthesis:
-    def test_analysis_blocks_live_in_subspaces(self):
-        family = random_family(11, 4, 3)
-        f = standard_normal(make_rng(5), 4)
-        g = fusion_analysis(family, f)
-        for (s, w), block in zip(family.members, g.blocks):
-            inside = s.basis @ (s.basis.conj().T @ block)
-            np.testing.assert_allclose(block, inside, atol=1e-12)
-
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         complex_scalars=st.booleans(),
     )
-    def test_synthesis_adjoint_to_analysis(self, seed, complex_scalars):
+    def test_analysis_energy_is_the_fusion_form(self, seed, complex_scalars):
+        # ||T* f||^2 = <f, T T* f> = <f, S_W f>
         family = random_family(seed, 4, 3, complex_scalars)
-        rng = make_rng(seed + 1)
-        f = gaussian_matrix(rng, 4, 1, complex_scalars)[:, 0]
-        # arbitrary admissible blocks: project random vectors into each W_i
-        blocks = []
-        for s, _ in family.members:
-            raw = gaussian_matrix(rng, 4, 1, complex_scalars)[:, 0]
-            blocks.append(s.basis @ (s.basis.conj().T @ raw))
-        g = BlockVector(tuple(blocks))
-        lhs = complex(np.vdot(fusion_synthesis(family, g), f))
-        rhs = sum(
-            complex(np.vdot(block, w * (s.basis @ (s.basis.conj().T @ f))))
-            for (s, w), block in zip(family.members, g.blocks)
+        f = gaussian_matrix(make_rng(seed + 1), 4, 1, complex_scalars)[:, 0]
+        coeffs = fusion_analysis(family, f)
+        energy = float(np.vdot(f, fusion_operator(family) @ f).real)
+        assert float(np.vdot(coeffs, coeffs).real) == pytest.approx(
+            energy, rel=1e-10, abs=1e-12)
+
+    def test_wrong_lengths_rejected(self):
+        # a fusion frame of R^2 with one coefficient per axis
+        family = WeightedSubspaceFamily(
+            2, ((axis_subspace(2, 0), 2.0), (axis_subspace(2, 1), 3.0))
         )
-        assert lhs == pytest.approx(rhs, abs=1e-10)
-
-    def test_synthesis_rejects_block_outside_subspace(self):
-        family = WeightedSubspaceFamily(2, ((axis_subspace(2, 0), 1.0),))
-        stray = BlockVector((np.array([0.0, 1.0]),))
-        with pytest.raises(BlockOutsideSubspace):
-            fusion_synthesis(family, stray)
-
-    def test_synthesis_rejects_wrong_block_count(self):
-        family = WeightedSubspaceFamily(2, ((axis_subspace(2, 0), 1.0),))
-        g = BlockVector((np.zeros(2), np.zeros(2)))
+        assert reconstruct(family, [2.0, 3.0]) == pytest.approx([1.0, 1.0])
         with pytest.raises(DimensionMismatch):
-            fusion_synthesis(family, g)
-
-    def test_block_norm(self):
-        g = BlockVector((np.array([3.0, 0.0]), np.array([0.0, 4.0])))
-        assert g.norm() == pytest.approx(5.0)
+            fusion_analysis(family, np.zeros(3))
+        with pytest.raises(DimensionMismatch):
+            reconstruct(family, np.zeros(3))
 
 
 class TestReconstruction:
@@ -257,44 +195,3 @@ class TestReconstruction:
         g = fusion_analysis(family, np.array([1.0, 0.0]))
         with pytest.raises(NotAFusionFrame):
             reconstruct(family, g)
-
-
-class TestLiftLocalFrames:
-    def test_orthonormal_locals_reproduce_fusion_operator(self):
-        family = random_family(42, 5, 3)
-        locals_ = [
-            VectorFrame(5, s.basis.T.conj()) for s, _ in family.members
-        ]
-        lifted = lift_local_frames(family, locals_)
-        np.testing.assert_allclose(
-            frame_operator(lifted), fusion_operator(family), atol=1e-12
-        )
-
-    def test_redundant_locals_change_operator_but_stay_frames(self):
-        w = Subspace.from_span(np.array([[1.0], [0.0]]))
-        family = WeightedSubspaceFamily(2, ((w, 2.0),))
-        local = VectorFrame(2, np.array([[1.0, 0.0], [1.0, 0.0]]))
-        lifted = lift_local_frames(family, [local])
-        # two copies of 2*e1: operator diag(8, 0)
-        np.testing.assert_allclose(
-            frame_operator(lifted), np.diag([8.0, 0.0]), atol=1e-15
-        )
-
-    def test_vector_outside_subspace_rejected(self):
-        w = Subspace.from_span(np.array([[1.0], [0.0]]))
-        family = WeightedSubspaceFamily(2, ((w, 1.0),))
-        local = VectorFrame(2, np.array([[1.0, 0.5]]))
-        with pytest.raises(LocalVectorOutsideSubspace):
-            lift_local_frames(family, [local])
-
-    def test_non_spanning_local_rejected(self):
-        w = Subspace.from_span(np.eye(2))
-        family = WeightedSubspaceFamily(2, ((w, 1.0),))
-        local = VectorFrame(2, np.array([[1.0, 0.0]]))
-        with pytest.raises(DeficientLocalFrame):
-            lift_local_frames(family, [local])
-
-    def test_count_mismatch_rejected(self):
-        family = random_family(3, 4, 2)
-        with pytest.raises(DimensionMismatch):
-            lift_local_frames(family, [])

@@ -1,12 +1,14 @@
 """A guard against dead imports: every module-level import in the package
-is referenced by the module that makes it, or exported in its __all__."""
+and in its tests is referenced by the module that makes it, or exported in
+its __all__."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "framekit"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "framekit"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,6 +34,11 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_every_test_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 

@@ -1,5 +1,5 @@
-"""Tests for K-relative frame decisions: optimal lower bound, membership,
-and the sampled verification report."""
+"""Tests for K-relative frame bounds: the optimal lower bound, and
+membership decided by its sign."""
 
 import math
 
@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from framekit._rng import gaussian_matrix, make_rng
 from framekit.frame_core import WeightedSubspaceFamily, fusion_bounds, fusion_operator
-from framekit.kfusion import decide, k_lower_bound, verify_k_fusion
+from framekit.errors import DimensionMismatch
+from framekit.kfusion import k_bounds, k_lower_bound
 from framekit.numerics import Subspace, douglas_check, operator_norm
 
 
@@ -80,6 +81,12 @@ class TestKLowerBound:
             got = k_lower_bound(family, k)
             assert got >= floor * (1.0 - 1e-10)
 
+    def test_shape_mismatch_rejected(self):
+        family = weighted_axes([1.0, 1.0])
+        for call in (k_lower_bound, k_bounds):
+            with pytest.raises(DimensionMismatch):
+                call(family, np.eye(3))
+
 
 class TestDecide:
     def test_membership_matches_douglas(self):
@@ -95,78 +102,8 @@ class TestDecide:
                     ambient,
                     ((Subspace.from_span(vecs[:, 1:]), 1.0),),
                 )
-            verdict = decide(family, k)
-            sw = fusion_operator(family)
-            douglas = douglas_check(k, sw)
-            assert verdict.is_k_fusion == douglas.range_included
-            assert (verdict.bounds.lower > 0.0) == douglas.range_included
-
-    def test_witness_lies_in_null_space(self):
-        # dim-3 family spanning only e1, e2; K = I leaks along e3
-        family = WeightedSubspaceFamily(
-            3, ((axis_subspace(3, 0), 1.0), (axis_subspace(3, 1), 1.0))
-        )
-        verdict = decide(family, np.eye(3))
-        assert not verdict.is_k_fusion
-        assert verdict.bounds.lower == 0.0
-        w = verdict.witness
-        assert w is not None
-        assert abs(np.linalg.norm(w) - 1.0) < 1e-12
-        # witness carries no fusion energy but full K*-energy
-        sw = fusion_operator(family)
-        assert float((w.conj() @ sw @ w).real) < 1e-12
-        assert abs(w[2]) == pytest.approx(1.0, abs=1e-10)
-
-    def test_member_has_no_witness(self):
-        verdict = decide(weighted_axes([1.0, 1.0]), np.eye(2))
-        assert verdict.is_k_fusion
-        assert verdict.witness is None
-
-    def test_zero_operator_member_without_witness(self):
-        verdict = decide(weighted_axes([1.0, 1.0]), np.zeros((2, 2)))
-        assert verdict.is_k_fusion
-        assert math.isinf(verdict.bounds.lower)
-        assert verdict.witness is None
-
-
-class TestVerify:
-    def test_optimal_bounds_hold_on_samples(self):
-        for seed in range(6):
-            family = random_family(400 + seed, 5, 3, seed % 2 == 0)
-            k = gaussian_matrix(make_rng(seed), 5, 5, seed % 2 == 0)
-            verdict = decide(family, k)
-            report = verify_k_fusion(
-                family,
-                k,
-                verdict.bounds.lower,
-                verdict.bounds.upper,
-                n_samples=200,
-                seed=seed,
-            )
-            assert report.worst_lower_margin >= -1e-9
-            assert report.worst_upper_margin >= -1e-9
-            assert report.n_evaluated == 200 + 2 * 5
-
-    def test_overstated_lower_bound_flagged(self):
-        family = weighted_axes([2.0, 3.0])
-        report = verify_k_fusion(family, np.eye(2), 4.5, 9.0, n_samples=50, seed=1)
-        # e1 has S_W-energy 4 < 4.5: eigenvector probe catches it
-        assert report.worst_lower_margin < -0.4
-
-    def test_infinite_lower_is_vacuous(self):
-        report = verify_k_fusion(weighted_axes([1.0, 1.0]), np.zeros((2, 2)),
-                                 math.inf, 1.0, n_samples=20, seed=0)
-        assert report.worst_lower_margin >= 0.0
-        assert report.worst_upper_margin >= -1e-12
-
-    def test_shape_mismatch_rejected(self):
-        from framekit.errors import DimensionMismatch
-
-        family = weighted_axes([1.0, 1.0])
-        for call in (k_lower_bound, decide,
-                     lambda fam, k: verify_k_fusion(fam, k, 1.0, 1.0)):
-            with pytest.raises(DimensionMismatch):
-                call(family, np.eye(3))
+            douglas = douglas_check(k, fusion_operator(family))
+            assert (k_lower_bound(family, k) > 0.0) == douglas.range_included
 
 
 def count_fusion_eighs(monkeypatch, family):
@@ -185,14 +122,12 @@ def count_fusion_eighs(monkeypatch, family):
 
 
 class TestFusionEigReuse:
-    def test_bounds_and_verification_share_one_eigensolve(self, monkeypatch):
+    def test_bounds_share_one_eigensolve(self, monkeypatch):
         family = random_family(8, 6, 5, complex_scalars=True)
         calls = count_fusion_eighs(monkeypatch, family)
         rng = make_rng(9)
         for _ in range(4):
-            k = gaussian_matrix(rng, 6, 6, True)
-            lower = k_lower_bound(family, k)
-        verify_k_fusion(family, k, lower, fusion_bounds(family).upper, seed=3)
+            k_bounds(family, gaussian_matrix(rng, 6, 6, True))
         assert len(calls) == 1
 
     def test_drazin_check_eigendecomposes_the_family_once(self, monkeypatch):

@@ -29,7 +29,6 @@ from framekit.numerics import (
     max_psd_scale,
     operator_norm,
     pinv,
-    projection_lemma_check,
     projector,
     psd_scale_bisection,
     quadratic_forms,
@@ -341,35 +340,6 @@ class TestCertifyPsdScale:
             per_call.append(counts["n"])
         assert per_call[0] <= 6
         assert per_call == [per_call[0]] * 3
-
-
-class TestProjectionLemma:
-    def test_commutation_iff_range_mapped(self):
-        # T maps span(e1) into span(e1): compression commutes
-        t = np.array([[2.0, 1.0], [0.0, 3.0]])
-        w = Subspace.from_span(np.array([[1.0], [0.0]]))
-        v = Subspace.from_span(np.array([[1.0], [0.0]]))
-        assert projection_lemma_check(t, w, v)
-        # rotate the target subspace away: commutation fails
-        v_bad = Subspace.from_span(np.array([[1.0], [1.0]]))
-        assert not projection_lemma_check(t, w, v_bad)
-
-    def test_equivalent_to_range_inclusion(self):
-        rng = make_rng(31)
-        for trial in range(24):
-            t = gaussian_matrix(rng, 4, 4, trial % 2 == 0)
-            w = random_subspace_from(rng, 4, 2, trial % 2 == 0)
-            v = random_subspace_from(rng, 4, 2, trial % 2 == 0)
-            if trial % 3 == 0:
-                t = projector(v) @ t  # force T(W) inside V
-            lemma = projection_lemma_check(t, w, v)
-            drift = operator_norm((np.eye(4) - projector(v)) @ t @ projector(w))
-            assert lemma == (drift <= 1e-10)
-
-
-def random_subspace_from(rng, ambient, dim, complex_scalars):
-    q, _ = np.linalg.qr(gaussian_matrix(rng, ambient, dim, complex_scalars))
-    return Subspace(ambient, q[:, :dim])
 
 
 class TestQuadraticForms:

@@ -21,7 +21,6 @@ from framekit.instances import (
 from framekit.frame_core import WeightedSubspaceFamily
 from framekit.numerics import Subspace
 from framekit.serialize import (
-    INSTANCE_FORMAT,
     _bulk_matrix,
     _matrix_from,
     dumps,

@@ -672,7 +672,6 @@ class TestExactHypothesis:
         assert report.notes["hypothesis_certificate"] == certificate
 
     def test_lem41_check_draws_no_random_vectors(self, monkeypatch):
-        import framekit.kfusion
         import framekit.theorems
 
         calls = []
@@ -682,7 +681,6 @@ class TestExactHypothesis:
             return random_unit_vectors(*args, **kwargs)
 
         monkeypatch.setattr(framekit.theorems, "random_unit_vectors", counted)
-        monkeypatch.setattr(framekit.kfusion, "random_unit_vectors", counted)
         inst = build_instance("lem4.1", GenSpec(1001, 32, "additive"))
         assert check_instance(inst).passed
         assert calls == []
