@@ -46,6 +46,7 @@ __all__ = [
     "drazin",
     "range_basis",
     "projector",
+    "range_inclusion",
     "douglas_check",
     "max_psd_scale",
     "one_blas_thread",
@@ -345,21 +346,28 @@ class DouglasReport:
     residual: float
 
 
-def douglas_check(s, t) -> DouglasReport:
-    """Test range(S) <= range(T), to 1e-10 max(1, ||S||), and produce the
-    equivalent certificates."""
+def range_inclusion(s, t) -> tuple[bool, float]:
+    """Whether range(S) <= range(T), to 1e-10 max(1, ||S||), and the
+    residual ||S - T T^+ S|| that decides it."""
     s = as_matrix(s)
     t = as_matrix(t)
     if s.shape[0] != t.shape[0]:
         raise DimensionMismatch(
             f"row counts differ: {s.shape[0]} vs {t.shape[0]}"
         )
-    t_dag = pinv(t)
-    p_range = t @ t_dag
-    residual = operator_norm(s - p_range @ s)
-    if residual > 1e-10 * max(1.0, operator_norm(s)):
+    residual = operator_norm(s - (t @ pinv(t)) @ s)
+    return residual <= 1e-10 * max(1.0, operator_norm(s)), residual
+
+
+def douglas_check(s, t) -> DouglasReport:
+    """Test range(S) <= range(T) by range_inclusion, and produce the
+    equivalent certificates."""
+    included, residual = range_inclusion(s, t)
+    if not included:
         return DouglasReport(False, None, None, residual)
-    factor = t_dag @ s
+    s = as_matrix(s)
+    t = as_matrix(t)
+    factor = pinv(t) @ s
     ss = hermitian_part(s @ s.conj().T)
     tt = hermitian_part(t @ t.conj().T)
     best = max_psd_scale(tt, ss)
@@ -440,6 +448,43 @@ def _certify_psd_scale(sw: np.ndarray, g: np.ndarray, a: float,
         )
 
 
+def _closed_psd_scale(sw_eig: EigenResult, g) -> tuple[float, np.ndarray]:
+    """The closed form of max_psd_scale, uncertified, and G's Hermitian
+    part, from Sw's eigendecomposition ``sw_eig``.
+
+    The values 0 (range(G) escapes range(Sw)) and +inf (G = 0) are exact;
+    a value in between is 1 / lambda_max of G compressed by the inverse
+    square root of Sw on its range, which ``_certify_psd_scale`` confirms.
+    """
+    sw_w = sw_eig.eigenvalues
+    _require_psd(sw_w, "Sw")
+    gh = _checked_hermitian(g, "G")
+    g_w = np.linalg.eigvalsh(gh)
+    _require_psd(g_w, "G")
+    g_max = float(g_w[-1]) if g_w.size else 0.0
+    if g_max <= 0.0:
+        return math.inf, gh
+    s_max = float(sw_w[-1]) if sw_w.size else 0.0
+    if s_max <= 0.0:
+        return 0.0, gh
+    keep = sw_w > RANK_TOL * s_max
+    if not np.any(keep):
+        return 0.0, gh
+    vr = sw_eig.eigenvectors[:, keep]
+    lam = sw_w[keep]
+    if not np.all(keep):
+        # at full rank range(G) <= range(Sw) always holds: the leak is rounding
+        leak = gh - vr @ (vr.conj().T @ gh)
+        if operator_norm(leak) > RANK_TOL * g_max:
+            return 0.0, gh
+    inv_sqrt = 1.0 / np.sqrt(lam)
+    compressed = (vr.conj().T @ gh @ vr) * inv_sqrt[:, None] * inv_sqrt[None, :]
+    mu = float(np.linalg.eigvalsh(hermitian_part(compressed))[-1])
+    if mu <= 0.0:
+        return math.inf, gh  # G vanishes on range(Sw); defensive, G=0 handled above
+    return 1.0 / mu, gh
+
+
 def max_psd_scale(sw, g, *, sw_eig: EigenResult | None = None) -> float:
     """sup { a >= 0 : Sw - a G is PSD } for Hermitian PSD Sw and G.
 
@@ -453,33 +498,9 @@ def max_psd_scale(sw, g, *, sw_eig: EigenResult | None = None) -> float:
     """
     if sw_eig is None:
         sw_eig = hermitian_eig(sw, name="Sw")
-    sw_w = sw_eig.eigenvalues
-    _require_psd(sw_w, "Sw")
-    gh = _checked_hermitian(g, "G")
-    g_w = np.linalg.eigvalsh(gh)
-    _require_psd(g_w, "G")
-    g_max = float(g_w[-1]) if g_w.size else 0.0
-    if g_max <= 0.0:
-        return math.inf
-    s_max = float(sw_w[-1]) if sw_w.size else 0.0
-    if s_max <= 0.0:
-        return 0.0
-    keep = sw_w > RANK_TOL * s_max
-    if not np.any(keep):
-        return 0.0
-    vr = sw_eig.eigenvectors[:, keep]
-    lam = sw_w[keep]
-    if not np.all(keep):
-        # at full rank range(G) <= range(Sw) always holds: the leak is rounding
-        leak = gh - vr @ (vr.conj().T @ gh)
-        if operator_norm(leak) > RANK_TOL * g_max:
-            return 0.0
-    inv_sqrt = 1.0 / np.sqrt(lam)
-    compressed = (vr.conj().T @ gh @ vr) * inv_sqrt[:, None] * inv_sqrt[None, :]
-    mu = float(np.linalg.eigvalsh(hermitian_part(compressed))[-1])
-    if mu <= 0.0:
-        return math.inf  # G vanishes on range(Sw); defensive, G=0 handled above
-    closed = 1.0 / mu
-    _certify_psd_scale(hermitian_part(sw), gh, closed,
-                       max(abs(sw_w[0]), abs(sw_w[-1])))
+    closed, gh = _closed_psd_scale(sw_eig, g)
+    if 0.0 < closed < math.inf:
+        sw_w = sw_eig.eigenvalues
+        _certify_psd_scale(hermitian_part(sw), gh, closed,
+                           max(abs(sw_w[0]), abs(sw_w[-1])))
     return closed

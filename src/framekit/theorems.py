@@ -50,7 +50,8 @@ from .frame_core import (
 from .kfusion import k_bounds, k_operator
 from .numerics import (
     RANK_TOL,
-    douglas_check,
+    _certify_psd_scale,
+    _closed_psd_scale,
     drazin,
     hermitian_eig,
     hermitian_part,
@@ -60,6 +61,7 @@ from .numerics import (
     projector,
     quadratic_forms,
     range_basis,
+    range_inclusion,
 )
 
 BRACKET_SLACK = 1e-8
@@ -407,12 +409,12 @@ def _side_norms(side: Side, cols: np.ndarray) -> np.ndarray:
     return _col_norms(_side_factor(side).conj().T @ cols)
 
 
-def _pencil_witness(left: np.ndarray, side: Side, right_eig, c: float) -> float:
+def _pencil_witness(left: np.ndarray, left_form: np.ndarray, side: Side,
+                    right_eig, c: float) -> float:
     """Largest violation ||X* f|| - c ||Y* f|| over two unit candidates:
     the top vector of the pencil X X* g = mu Y Y* g compressed to
     range(Y Y*), and the top vector of X X* on the numerical kernel of
-    Y Y*, where X X* leaks out of that range."""
-    left_form = _side_form(left)
+    Y Y*, where X X* leaks out of that range.  ``left_form`` is X X*."""
     w, v = right_eig.eigenvalues, right_eig.eigenvectors
     keep = w > RANK_TOL * max(float(w[-1]), 0.0)
     bases = [v[:, ~keep], v[:, keep] / np.sqrt(w[keep])]
@@ -436,7 +438,9 @@ def _exact_hypothesis(left: np.ndarray, terms: Sequence[tuple[float, Side]],
     that holds (Douglas), so the violation is at most (c_opt - c)
     sqrt(lambda_max(R)): at most ``tol`` accepts and returns that bound.
     Otherwise a witness violating by more than ``tol`` rejects, and no
-    witness leaves the decision to the grid.
+    witness leaves the decision to the grid.  The closed form of c_opt is
+    certified only when it would accept: a constant that is not accepted
+    goes to the witness whether or not its certificate holds.
     """
     active = [(c, side) for c, side in terms if c != 0.0]
     if len(active) > 1:
@@ -451,16 +455,20 @@ def _exact_hypothesis(left: np.ndarray, terms: Sequence[tuple[float, Side]],
     right = _side_form(side)
     right_eig = (side.fusion_eig if isinstance(side, WeightedSubspaceFamily)
                  else hermitian_eig(right))
-    try:
-        scale = max_psd_scale(right, left_form, sw_eig=right_eig)
-    except OracleMismatch:
-        scale = 0.0  # no certified constant: only a witness can decide
+    scale, left_h = _closed_psd_scale(right_eig, left_form)
     if scale > 0.0:
-        right_top = math.sqrt(max(float(right_eig.eigenvalues[-1]), 0.0))
-        bound = (1.0 / math.sqrt(scale) - c) * right_top
+        w = right_eig.eigenvalues
+        bound = (1.0 / math.sqrt(scale) - c) * math.sqrt(max(float(w[-1]), 0.0))
         if bound <= tol:
-            return bound
-    violation = _pencil_witness(left, side, right_eig, c)
+            try:
+                if math.isfinite(scale):
+                    # R is a Hermitian part already, as max_psd_scale passes it
+                    _certify_psd_scale(right, left_h, scale,
+                                       max(abs(w[0]), abs(w[-1])))
+                return bound
+            except OracleMismatch:
+                pass  # no certified constant: only a witness can decide
+    violation = _pencil_witness(left, left_form, side, right_eig, c)
     if violation > tol:
         raise HypothesisFailed(clause, violation)
     return None
@@ -611,14 +619,13 @@ def check_projection_zero(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFamily
     a, b = constants.a, constants.b
     if constants.c != 0.0:
         raise AdmissibilityFailed("this hypothesis has no c-term")
-    residuals, notes = _blockwise_hypothesis(ww, vv, constants, None, tol, seed)
     if b >= 1.0:
         raise AdmissibilityFailed(f"b = {b} must be below 1")
-    doug = douglas_check(target_k, fusion_synthesis_matrix(vv))
-    if not doug.range_included:
+    residuals, notes = _blockwise_hypothesis(ww, vv, constants, None, tol, seed)
+    included, escape = range_inclusion(target_k, fusion_synthesis_matrix(vv))
+    if not included:
         raise AdmissibilityFailed(
-            "operator range escapes the target synthesis range",
-            doug.residual,
+            "operator range escapes the target synthesis range", escape,
         )
     upper_w = fusion_bounds(ww).upper
     predicted = FrameBounds(
@@ -649,10 +656,10 @@ def check_projection_k_star(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFami
     _paired(ww, vv)
     k = k_operator(k, ww.ambient_dim)
     a, b, c = constants.a, constants.b, constants.c
-    residuals, notes = _blockwise_hypothesis(ww, vv, constants, k, tol, seed)
-    bounds_w = _require_k_fusion(ww, k, "the source family")
     if a >= 1.0 or b >= 1.0:
         raise AdmissibilityFailed(f"a = {a} and b = {b} must both be below 1")
+    residuals, notes = _blockwise_hypothesis(ww, vv, constants, k, tol, seed)
+    bounds_w = _require_k_fusion(ww, k, "the source family")
     root_a = math.sqrt(bounds_w.lower)  # inf for the vacuous sentinel
     if c / (1.0 - a) >= root_a:
         raise AdmissibilityFailed(
@@ -680,14 +687,14 @@ def check_projection_plain(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFamil
     """
     _paired(ww, vv)
     a, b, c = constants.a, constants.b, constants.c
+    if b >= 1.0:
+        raise AdmissibilityFailed(f"b = {b} must be below 1")
     residuals, notes = _blockwise_hypothesis(
         ww, vv, constants, np.eye(ww.ambient_dim, dtype=np.complex128), tol, seed)
     bounds_w = fusion_bounds(ww)
     lower_w, upper_w = bounds_w.lower, bounds_w.upper
     if not bounds_w.is_frame():
         raise HypothesisFailed("the source family is not a fusion frame")
-    if b >= 1.0:
-        raise AdmissibilityFailed(f"b = {b} must be below 1")
     if a * math.sqrt(upper_w) + c >= math.sqrt(lower_w):
         raise AdmissibilityFailed(
             "a sqrt(B) + c must stay below sqrt(A) for the transfer"
@@ -717,10 +724,10 @@ def check_quadratic_perturbation(ww: WeightedSubspaceFamily,
     n = ww.ambient_dim
     k_mat = k_operator(k, n)
     r = float(r)
-    bounds_w = _require_k_fusion(ww, k_mat, "the source family")
-    lower_w, upper_w = bounds_w.lower, bounds_w.upper
     if not (r > 0.0):
         raise HypothesisFailed(f"deviation budget R = {r} must be positive")
+    bounds_w = _require_k_fusion(ww, k_mat, "the source family")
+    lower_w, upper_w = bounds_w.lower, bounds_w.upper
     if not math.isinf(lower_w) and r >= lower_w:
         raise HypothesisFailed(
             f"deviation budget R = {r:.6e} reaches the lower bound {lower_w:.6e}"
@@ -743,8 +750,7 @@ def check_quadratic_perturbation(ww: WeightedSubspaceFamily,
     # with sign-definite member deviations the hypothesis is exactly a PSD
     # test; run it when applicable as a sharper certificate
     signs = []
-    for d in member_forms:
-        spec = np.linalg.eigvalsh(d)
+    for d, spec in zip(member_forms, np.linalg.eigvalsh(np.stack(member_forms))):
         scale = max(abs(float(spec[0])), abs(float(spec[-1])), 1.0)
         if spec[0] >= -tol * scale:
             signs.append(1.0)

@@ -4,6 +4,7 @@ round-trips, and byte-identical suite reports."""
 import csv
 import json
 
+import numpy as np
 import pytest
 
 import framekit.cli
@@ -18,8 +19,11 @@ from framekit.errors import (
     NotSquare,
     OracleMismatch,
 )
-from framekit.instances import GenSpec, build_instance, check_instance
+from framekit.frame_core import WeightedSubspaceFamily
+from framekit.instances import GenSpec, Instance, build_instance, check_instance
+from framekit.numerics import Subspace
 from framekit.serialize import dumps_instance, loads_instance
+from framekit.theorems import PerturbationConstants
 
 
 def write_instance(tmp_path, theorem, scenario, seed=3, dim=4, name="inst.json"):
@@ -355,6 +359,80 @@ class TestCheck:
         assert main(["check", str(path), "--out", str(out)]) == 0
         notes = json.loads(out.read_text())[0]["notes"]
         assert notes["hypothesis_certificate"] == certificate
+
+
+def axes(*weights, ambient=2):
+    """Members (e_i, w_i) on the first coordinate axes."""
+    eye = np.eye(ambient)
+    return WeightedSubspaceFamily(ambient, tuple(
+        (Subspace(ambient, eye[:, [i]]), w) for i, w in enumerate(weights)))
+
+
+def precedence_case(theorem, bad, good):
+    """Instances of ``theorem`` whose operator hypothesis fails: one with
+    the fields ``bad``, which also fail a test that reads only constants,
+    and one with the admissible fields ``good``."""
+    source, target = axes(1.0, 1.0), axes(1e-3, 1e-3)
+    base = {
+        "lem4.1": dict(family=source,
+                       operators={"K1": np.eye(2), "K2": np.zeros((2, 2))}),
+        "thm4.4.1": dict(family=source, family_v=target),
+        "thm4.4.2": dict(family=source, family_v=target,
+                         operators={"K": np.eye(2)}),
+        "thm4.4.3": dict(family=source, family_v=target),
+        # the source family misses K's range: it is no K-fusion frame
+        "prop4.5": dict(family=axes(1.0), family_v=axes(0.5),
+                        operators={"K": np.eye(2)}),
+        "thm4.6": dict(family=source, operators={"K": np.zeros((2, 2))}),
+        "thm4.7": dict(family=source, operators={"K": np.zeros((2, 2))}),
+    }[theorem]
+    meta = {"theorem": theorem, "seed": 0}
+    return (Instance(2, "real", **base, **bad, meta=meta),
+            Instance(2, "real", **base, **good, meta=meta))
+
+
+PRECEDENCE = [
+    ("lem4.1", PerturbationConstants(0.5, 1.5), PerturbationConstants(0.5, 0.0),
+     "b = 1.5 must be below 1"),
+    ("thm4.4.1", PerturbationConstants(0.0, 1.5), PerturbationConstants(0.0, 0.5),
+     "b = 1.5 must be below 1"),
+    ("thm4.4.2", PerturbationConstants(0.0, 1.5), PerturbationConstants(0.0, 0.5),
+     "a = 0.0 and b = 1.5 must both be below 1"),
+    ("thm4.4.3", PerturbationConstants(0.0, 1.5), PerturbationConstants(0.0, 0.5),
+     "b = 1.5 must be below 1"),
+    ("prop4.5", 0.0, 0.5, "deviation budget R = 0.0 must be positive"),
+    ("thm4.6", PerturbationConstants(1.5, 0.0), PerturbationConstants(0.5, 0.0),
+     "a = 1.5 must be below 1"),
+    ("thm4.7", PerturbationConstants(1.5, 0.0), PerturbationConstants(0.5, 0.0),
+     "a + c ||Kdag|| = 1.500000e+00 must stay below 1"),
+]
+
+
+class TestClausePrecedence:
+    """A test that reads only the constants runs before any operator work,
+    so an instance that fails both reports the constant's clause; the exit
+    code is 2 either way."""
+
+    @pytest.mark.parametrize("theorem, bad, good, clause", PRECEDENCE,
+                             ids=[case[0] for case in PRECEDENCE])
+    def test_constant_clause_comes_first(self, tmp_path, capsys, theorem, bad,
+                                         good, clause):
+        key = "quadratic_bound" if theorem == "prop4.5" else "constants"
+        failing, admissible = precedence_case(theorem, {key: bad}, {key: good})
+        with pytest.raises(HypothesisFailed) as operator_failure:
+            check_instance(admissible)
+        assert operator_failure.value.clause != clause
+        with pytest.raises(HypothesisFailed) as constant_failure:
+            check_instance(failing)
+        assert constant_failure.value.clause == clause
+        for name, inst, expected in (
+            ("failing.json", failing, clause),
+            ("admissible.json", admissible, operator_failure.value.clause),
+        ):
+            path = tmp_path / name
+            path.write_text(dumps_instance(inst))
+            assert main(["check", str(path)]) == 2
+            assert f": {expected}\n" in capsys.readouterr().out
 
 
 class TestSuite:

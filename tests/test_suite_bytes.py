@@ -4,11 +4,13 @@ A change that moves any verdict, bound or margin of the standard sweep
 changes the suite digests.  The spoiler digests cover the negative
 controls that `suite --spoilers` appends, and the instance-file digest
 covers every generator scenario, spoilers included, at dims up to 32 in
-both scalar kinds.  The digests were recorded with the NumPy and SciPy
-versions below; other versions may round differently, so the tests skip
-there rather than fail.
+both scalar kinds.  The rejection digest covers what a rejection reports,
+its exception type, clause and residual, for a fixed set of negatives.
+The digests were recorded with the NumPy and SciPy versions below; other
+versions may round differently, so the tests skip there rather than fail.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -16,7 +18,8 @@ import pytest
 import scipy
 
 from framekit.cli import main
-from framekit.instances import GenSpec, build_instance
+from framekit.errors import FramekitError
+from framekit.instances import REGISTRY, GenSpec, build_instance, check_instance
 from framekit.serialize import dumps_instance
 
 RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
@@ -52,10 +55,41 @@ FILE_SEEDS = (101, 202)
 FILE_DIMS = (2, 5, 16, 32)
 FILE_DIGEST = "a23b2bb5c9311e871c5bbb799d407a5712711c22cfb0d083be2677afdbb04ba5"
 
+# each theorem's spoiler at two seeds, one per scalar kind, and three dims,
+# then lem4.1 near misses at two dims
+REJECTION_SEEDS = ((101, "real"), (202, "complex"))
+REJECTION_DIMS = (2, 5, 16)
+NEAR_MISS_SEEDS = range(1000, 1010)
+NEAR_MISS_DIMS = (8, 16)
+REJECTION_DIGEST = "a3e7175e1fe51962bb8baccdb5ab883c7021d31919f32d58cab7efa478daf8f5"
+
 recorded_versions_only = pytest.mark.skipif(
     {"numpy": np.__version__, "scipy": scipy.__version__} != RECORDED_WITH,
     reason=f"digests were recorded with {RECORDED_WITH}",
 )
+
+
+def near_miss(seed, dim):
+    """The lem4.1 `additive` instance with a = 0.8 ||K1^-1 K2 - I||: the
+    perturbation K2 = K1 (I + G) needs a >= ||G|| when b = 0, so the
+    hypothesis fails by 0.2 ||G|| at a witness."""
+    inst = build_instance("lem4.1", GenSpec(seed, dim, "additive"))
+    k1, k2 = inst.operators["K1"], inst.operators["K2"]
+    g_norm = np.linalg.svd(np.linalg.solve(k1, k2) - np.eye(dim),
+                           compute_uv=False)[0]
+    return dataclasses.replace(
+        inst, constants=dataclasses.replace(inst.constants, a=0.8 * float(g_norm)))
+
+
+def rejection_negatives():
+    for tid, entry in REGISTRY.items():
+        for seed, scalar in REJECTION_SEEDS:
+            for dim in REJECTION_DIMS:
+                yield build_instance(
+                    tid, GenSpec(seed, dim, entry.spoiler, {"scalar": scalar}))
+    for dim in NEAR_MISS_DIMS:
+        for seed in NEAR_MISS_SEEDS:
+            yield near_miss(seed, dim)
 
 
 def suite_digest(tmp_path, offset, *extra):
@@ -94,3 +128,16 @@ def test_instance_file_bytes_match_the_recorded_digest():
                         text = dumps_instance(build_instance(tid, spec))
                         digest.update(text.encode())
     assert digest.hexdigest() == FILE_DIGEST
+
+
+@recorded_versions_only
+def test_rejections_match_the_recorded_digest():
+    digest = hashlib.sha256()
+    for inst in rejection_negatives():
+        with pytest.raises(FramekitError) as rejected:
+            check_instance(inst)
+        exc = rejected.value
+        line = (f"{type(exc).__name__}|{getattr(exc, 'clause', None)}"
+                f"|{getattr(exc, 'residual', None)!r}\n")
+        digest.update(line.encode())
+    assert digest.hexdigest() == REJECTION_DIGEST

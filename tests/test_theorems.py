@@ -11,12 +11,16 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_suite_bytes import near_miss
 
+import framekit.numerics
+import framekit.theorems
 from framekit._rng import gaussian_matrix, make_rng, random_unit_vectors
 from framekit.errors import (
     AdmissibilityFailed,
     DimensionMismatch,
     HypothesisFailed,
+    OracleMismatch,
     ZeroDrazin,
 )
 from framekit.frame_core import WeightedSubspaceFamily, fusion_bounds, fusion_operator
@@ -525,6 +529,20 @@ class TestGrid:
                                             complex_scalars).T)
         assert np.array_equal(cols, np.hstack(expected))
 
+    @pytest.mark.parametrize("scenario", ["weight_shift", "rotation", "budget_half"])
+    @pytest.mark.parametrize("scalar", ["real", "complex"])
+    def test_stacked_member_spectra_match_per_form_calls(self, scenario, scalar):
+        # prop4.5's sign test reads every member form's spectrum from one
+        # stacked eigvalsh call
+        for seed, dim in ((1, 2), (2, 5), (3, 16)):
+            inst = build_instance("prop4.5", GenSpec(seed, dim, scenario,
+                                                     {"scalar": scalar}))
+            forms = [hermitian_part(w * w * projector(sw) - v * v * projector(sv))
+                     for (sw, w), (sv, v) in zip(inst.family.members,
+                                                 inst.family_v.members)]
+            assert np.array_equal(np.linalg.eigvalsh(np.stack(forms)),
+                                  [np.linalg.eigvalsh(f) for f in forms])
+
     def test_identical_families_give_zero_forms(self):
         inst = build_instance("thm4.4.3", GenSpec(5, 12, "identical"))
         grams = [hermitian_part(d @ d.conj().T)
@@ -750,3 +768,84 @@ class TestExactHypothesis:
             assert decided <= tol
         if c > c_opt * (1.0 + 1e-6):
             assert decided is not None  # clearly true: certified, not deferred
+
+
+class TestRejectionWork:
+    """A rejection skips the work only an acceptance needs: constants are
+    tested before any eigensolve, and a pencil constant is certified only
+    when it is about to be accepted."""
+
+    def count_eigensolves(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _solve=solve, **kwargs):
+                calls.append(_name)
+                return _solve(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def count_certificates(self, monkeypatch, modules, raises=False):
+        """Calls of ``_certify_psd_scale`` through each of ``modules``."""
+        calls = []
+        for module in modules:
+            certify = module._certify_psd_scale
+
+            def counted(*args, _certify=certify):
+                calls.append(args[2])
+                if raises:
+                    raise OracleMismatch("refused")
+                return _certify(*args)
+
+            monkeypatch.setattr(module, "_certify_psd_scale", counted)
+        return calls
+
+    @pytest.mark.parametrize("theorem, spoiler", [
+        ("thm4.4.1", "inadmissible_b"),
+        ("thm4.4.2", "inadmissible_a"),
+    ])
+    @pytest.mark.parametrize("dim", [2, 16])
+    def test_inadmissible_constants_need_no_eigensolve(self, monkeypatch, theorem,
+                                                       spoiler, dim):
+        inst = build_instance(theorem, GenSpec(7, dim, spoiler))
+        calls = self.count_eigensolves(monkeypatch)
+        with pytest.raises(AdmissibilityFailed):
+            check_instance(inst)
+        assert calls == []
+
+    @pytest.mark.parametrize("dim", [8, 16])
+    def test_near_miss_is_refuted_without_a_certificate(self, monkeypatch, dim):
+        calls = self.count_certificates(
+            monkeypatch, (framekit.numerics, framekit.theorems))
+        for seed in range(1000, 1005):
+            with pytest.raises(HypothesisFailed):
+                check_instance(near_miss(seed, dim))
+        assert calls == []
+
+    def test_accepted_one_term_hypothesis_is_certified_once(self, monkeypatch):
+        # k_bounds certifies its own bounds through numerics' name
+        calls = self.count_certificates(monkeypatch, (framekit.theorems,))
+        report = check_instance(build_instance("lem4.1", GenSpec(1001, 8, "additive")))
+        assert report.passed
+        assert report.notes["hypothesis_certificate"] == "exact"
+        assert len(calls) == 1
+
+    def test_refused_certificate_falls_back_to_witness_then_grid(self, monkeypatch):
+        calls = self.count_certificates(monkeypatch, (framekit.theorems,),
+                                        raises=True)
+        reached = []
+        for name in ("_pencil_witness", "_grid"):
+            step = getattr(framekit.theorems, name)
+
+            def spied(*args, _name=name, _step=step):
+                reached.append(_name)
+                return _step(*args)
+
+            monkeypatch.setattr(framekit.theorems, name, spied)
+        report = check_instance(build_instance("lem4.1", GenSpec(1001, 8, "additive")))
+        assert report.passed
+        assert report.notes["hypothesis_certificate"] == "sampled"
+        assert len(calls) == 1
+        assert reached == ["_pencil_witness", "_grid"]
