@@ -30,6 +30,11 @@ from .errors import (
 )
 
 RANK_TOL = 1e-10
+# a min-eigenvalue PSD test passes down to -_PSD_SLACK * max(1, ||Sw||)
+_PSD_SLACK = 1e-13
+# psd_scale_bisection reports inf once doubling the scale still passes
+# after this many doublings
+_MAX_DOUBLINGS = 200
 
 __all__ = [
     "RANK_TOL",
@@ -140,8 +145,9 @@ def operator_norm(m) -> float:
 
 
 def quadratic_forms(form: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Re <c, F c> for every column c of ``cols``, by one matrix product."""
-    return np.einsum("ij,ij->j", cols.conj(), form @ cols).real
+    """Re <c, F c> for every column c of ``cols``, by one matrix product;
+    a stack of forms gives one row per form."""
+    return np.einsum("ij,...ij->...j", cols.conj(), form @ cols).real
 
 
 @dataclass(frozen=True)
@@ -387,8 +393,7 @@ def _require_psd(w: np.ndarray, name: str) -> None:
         raise NotPSD(f"{name} has eigenvalue {w[0]:.3e}")
 
 
-def psd_scale_bisection(sw, g, *, slack_scale: float = 1e-13,
-                        max_doublings: int = 200) -> float:
+def psd_scale_bisection(sw, g) -> float:
     """Largest a with Sw - a G PSD, found purely by min-eigenvalue tests.
 
     Independent of the closed form in max_psd_scale; serves as its oracle.
@@ -398,7 +403,7 @@ def psd_scale_bisection(sw, g, *, slack_scale: float = 1e-13,
     g = hermitian_part(g)
     if operator_norm(g) == 0.0:
         return math.inf
-    slack = slack_scale * max(1.0, operator_norm(sw))
+    slack = _PSD_SLACK * max(1.0, operator_norm(sw))
 
     def ok(a: float) -> bool:
         return float(np.linalg.eigvalsh(sw - a * g)[0]) >= -slack
@@ -410,7 +415,7 @@ def psd_scale_bisection(sw, g, *, slack_scale: float = 1e-13,
     while ok(hi):
         hi *= 2.0
         doublings += 1
-        if doublings > max_doublings:
+        if doublings > _MAX_DOUBLINGS:
             return math.inf
     lo = 0.0
     for _ in range(300):
@@ -436,7 +441,7 @@ def _certify_psd_scale(sw: np.ndarray, g: np.ndarray, a: float,
     eigensolves.  The lower test is skipped when a - d <= 0, since the
     threshold is never below 0.
     """
-    slack = 1e-13 * max(1.0, sw_norm)
+    slack = _PSD_SLACK * max(1.0, sw_norm)
     delta = 1e-8 * max(1.0, a)
 
     def ok(t: float) -> bool:

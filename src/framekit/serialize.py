@@ -3,9 +3,10 @@
 Emission is deterministic: fixed key order, no whitespace variation, and
 floats printed with ``%.17g`` so they round-trip to the exact double.
 Infinite values are emitted as the strings "inf"/"-inf" and only appear
-in reports; instance files must be finite, with every matrix entry and
-weight at most ``MAX_ENTRY`` in magnitude, so that products of two
-matrices (K K*, D D*) and their pencils stay far inside the float range.
+in reports; every number of an instance file (matrix entries, weights,
+constants, the quadratic budget) must be finite and at most ``MAX_ENTRY``
+in magnitude, so that products of two matrices (K K*, D D*) and their
+pencils stay far inside the float range.
 """
 
 from __future__ import annotations
@@ -140,14 +141,21 @@ def _fail(path: str, why: str) -> InvalidConfig:
     return InvalidConfig(f"{path}: {why}")
 
 
+def _is_real(obj) -> bool:
+    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+
+
 def _num_from(obj, complex_scalars: bool, path: str) -> complex:
+    """The one number rule: a JSON number (never a bool or a string), or a
+    [re, im] pair of them in a complex matrix, finite as a double and at
+    most MAX_ENTRY in magnitude; otherwise InvalidConfig naming ``path``."""
     if complex_scalars:
         if (not isinstance(obj, (list, tuple)) or len(obj) != 2
-                or not all(isinstance(v, (int, float)) for v in obj)):
+                or not all(map(_is_real, obj))):
             raise _fail(path, "expected a [re, im] pair")
         parts = obj
     else:
-        if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        if not _is_real(obj):
             raise _fail(path, "expected a real number")
         parts = (obj, 0.0)
     try:
@@ -228,12 +236,7 @@ def _family_from(obj, dim: int, complex_scalars: bool,
     for i, entry in enumerate(obj):
         if not isinstance(entry, dict):
             raise _fail(f"{path}[{i}]", "expected an object")
-        try:
-            weight = float(entry["weight"])
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise _fail(f"{path}[{i}].weight", "missing or non-numeric") from None
-        if abs(weight) > MAX_ENTRY:
-            raise _fail(f"{path}[{i}].weight", f"magnitude above {MAX_ENTRY:g}")
+        weight = _num_from(entry.get("weight"), False, f"{path}[{i}].weight").real
         vectors = _matrix_from(
             entry.get("basis"), complex_scalars, f"{path}[{i}].basis", cols=dim
         )
@@ -280,22 +283,15 @@ def obj_to_instance(obj) -> Instance:
         c_obj = obj["constants"]
         if not isinstance(c_obj, dict):
             raise InvalidConfig("constants must be an object")
+        values = [_num_from(c_obj.get(name, 0.0), False, f"constants.{name}").real
+                  for name in ("a", "b", "c")]
         try:
-            constants = PerturbationConstants(
-                float(c_obj.get("a", 0.0)),
-                float(c_obj.get("b", 0.0)),
-                float(c_obj.get("c", 0.0)),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
+            constants = PerturbationConstants(*values)
+        except ValueError as exc:
             raise InvalidConfig(f"constants: {exc}") from None
     quad = obj.get("quadratic_bound")
     if quad is not None:
-        if isinstance(quad, bool) or not isinstance(quad, (int, float)):
-            raise InvalidConfig("quadratic_bound must be a number")
-        try:
-            quad = float(quad)
-        except OverflowError:
-            raise _fail("quadratic_bound", "expected a finite number") from None
+        quad = _num_from(quad, False, "quadratic_bound").real
     erased_obj = obj.get("erased", [])
     if not isinstance(erased_obj, list) or not all(
         isinstance(i, int) and not isinstance(i, bool) for i in erased_obj

@@ -20,8 +20,9 @@ a witness vector's violation as its residual.  Otherwise, and in the
 narrow band where neither the certificate nor a witness decides, the
 inequality is checked on a grid: every eigenvector of every form on
 either side, plus 500 seeded random unit vectors, and the certificate is
-"sampled".  prop4.5 is always grid-checked.  Reports carry the seed used,
-so any run can be replayed.
+"sampled".  prop4.5's quadratic budget follows the same order: the
+certificate sum_i |D_i| <= R K K*, then a witness, then the grid.
+Reports carry the seed used, so any run can be replayed.
 """
 
 from __future__ import annotations
@@ -182,10 +183,6 @@ def _grid(dim: int, forms: Sequence[np.ndarray | WeightedSubspaceFamily],
 
 def _col_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.einsum("ij,ij->j", m.conj(), m).real, 0.0))
-
-
-def _form_values(form: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    return np.maximum(quadratic_forms(form, cols), 0.0)
 
 
 def _require_k_fusion(family: WeightedSubspaceFamily, k: np.ndarray,
@@ -559,14 +556,37 @@ def _member_diffs(ww: WeightedSubspaceFamily,
     ]
 
 
-def _member_energies(family: WeightedSubspaceFamily,
-                     cols: np.ndarray) -> np.ndarray:
-    """Rows v_i^2 ||P_{W_i} f||^2 per member: the analysis product T* f,
-    squared and summed per member by a 0/1 membership product."""
-    coeffs = fusion_synthesis_matrix(family).conj().T @ cols
-    owner = np.repeat(np.arange(len(family)), [s.dim for s in family.subspaces])
-    member = owner == np.arange(len(family))[:, None]
-    return member @ (coeffs.real ** 2 + coeffs.imag ** 2)
+def _budget_sides(forms: np.ndarray, gram: np.ndarray, r: float,
+                  cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of sum_i |<f, D_i f>| <= R <f, G f> at each column f,
+    D_i the stacked ``forms`` and G = ``gram``."""
+    return (np.abs(quadratic_forms(forms, cols)).sum(axis=0),
+            r * quadratic_forms(gram, cols))
+
+
+def _quadratic_hypothesis(forms: np.ndarray, gram: np.ndarray, r: float,
+                          tol: float, seed: int) -> tuple[float, str]:
+    """Check sum_i |<f, D_i f>| <= R <f, G f> for all f; the residual and
+    certificate kind as _check_hypothesis returns them.
+
+    Since |<f, D f>| <= <f, |D| f>, sum_i |D_i| <= R G proves it: when
+    lambda_min of R G - sum_i |D_i| is at least -tol, its negation bounds
+    the violation at every unit f and the check is "exact".  Otherwise
+    that eigenvalue's vector is a witness, which rejects when it violates
+    the inequality by more than ``tol``.  With every D_i sign-definite,
+    |<f, D_i f>| = <f, |D_i| f>, so the witness attains the violation and
+    only indefinite D_i leave the decision to the grid.
+    """
+    clause = "quadratic deviation inequality fails on the grid"
+    w, v = np.linalg.eigh(forms)
+    abs_sum = ((v * np.abs(w)[:, None, :]) @ v.conj().transpose(0, 2, 1)).sum(axis=0)
+    gap, vectors = np.linalg.eigh(hermitian_part(r * gram - abs_sum))
+    if -gap[0] <= tol:
+        return float(-gap[0]), "exact"
+    _verify_pointwise(*_budget_sides(forms, gram, r, vectors[:, :1]), tol, clause)
+    cols = _grid(gram.shape[0], [gram, *forms], seed, _has_imag(gram, forms))
+    sampled = _verify_pointwise(*_budget_sides(forms, gram, r, cols), tol, clause)
+    return sampled, "sampled"
 
 
 def _paired(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFamily) -> None:
@@ -716,9 +736,10 @@ def check_quadratic_perturbation(ww: WeightedSubspaceFamily,
     """Bound transfer controlled by a quadratic-form deviation budget.
 
     Hypothesis: sum_i |<f, (w_i^2 P_i - v_i^2 Q_i) f>| <= R ||K* f||^2 with
-    0 < R < A.  Predicted bounds: (A - R, B + R ||K||).  The upper constant
-    follows the source statement; the Cauchy-Schwarz route gives
-    B + R ||K||^2, recorded in the notes.
+    0 < R < A, certified by sum_i |D_i| <= R K K* or else sampled (see
+    _quadratic_hypothesis).  Predicted bounds: (A - R, B + R ||K||).  The
+    upper constant follows the source statement; the Cauchy-Schwarz route
+    gives B + R ||K||^2, recorded in the notes.
     """
     _paired(ww, vv)
     n = ww.ambient_dim
@@ -732,50 +753,22 @@ def check_quadratic_perturbation(ww: WeightedSubspaceFamily,
         raise HypothesisFailed(
             f"deviation budget R = {r:.6e} reaches the lower bound {lower_w:.6e}"
         )
-    member_forms = []
-    for (sw, w), (sv, v) in zip(ww.members, vv.members):
-        member_forms.append(
-            hermitian_part((w * w) * projector(sw) - (v * v) * projector(sv))
-        )
-    gram = hermitian_part(k_mat @ k_mat.conj().T)
-    forms = [gram] + member_forms
-    cols = _grid(n, [ww, vv] + forms, seed,
-                 _has_imag(fusion_operator(ww), fusion_operator(vv), *forms))
-    lhs = np.abs(_member_energies(ww, cols) - _member_energies(vv, cols)).sum(axis=0)
-    rhs = r * _form_values(gram, cols)
-    violation = _verify_pointwise(
-        lhs, rhs, tol, "quadratic deviation inequality fails on the grid"
-    )
-    residuals = {"hypothesis_violation": violation}
-    # with sign-definite member deviations the hypothesis is exactly a PSD
-    # test; run it when applicable as a sharper certificate
-    signs = []
-    for d, spec in zip(member_forms, np.linalg.eigvalsh(np.stack(member_forms))):
-        scale = max(abs(float(spec[0])), abs(float(spec[-1])), 1.0)
-        if spec[0] >= -tol * scale:
-            signs.append(1.0)
-        elif spec[-1] <= tol * scale:
-            signs.append(-1.0)
-        else:
-            signs = []
-            break
-    if signs:
-        d_abs = sum(s * d for s, d in zip(signs, member_forms))
-        gap = float(np.linalg.eigvalsh(hermitian_part(r * gram - d_abs))[0])
-        residuals["psd_certificate_gap"] = gap
-        if gap < -tol * max(1.0, r * operator_norm(gram)):
-            raise HypothesisFailed(
-                "exact PSD certificate fails for the deviation budget", -gap
-            )
+    forms = np.stack([
+        hermitian_part((w * w) * projector(sw) - (v * v) * projector(sv))
+        for (sw, w), (sv, v) in zip(ww.members, vv.members)
+    ])
+    violation, certificate = _quadratic_hypothesis(
+        forms, hermitian_part(k_mat @ k_mat.conj().T), r, tol, seed)
     k_norm = operator_norm(k_mat)
     predicted = FrameBounds(
         math.inf if math.isinf(lower_w) else lower_w - r,
         upper_w + r * k_norm,
         "predicted",
     )
-    notes = {"cauchy_schwarz_upper": upper_w + r * k_norm * k_norm}
-    return _bracket_report("prop4.5", predicted, k_bounds(vv, k_mat), residuals,
-                           seed, notes)
+    notes = {"cauchy_schwarz_upper": upper_w + r * k_norm * k_norm,
+             "hypothesis_certificate": certificate}
+    return _bracket_report("prop4.5", predicted, k_bounds(vv, k_mat),
+                           {"hypothesis_violation": violation}, seed, notes)
 
 
 def _synthesis_hypothesis(ww: WeightedSubspaceFamily, erased: Sequence[int],

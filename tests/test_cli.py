@@ -3,6 +3,7 @@ round-trips, and byte-identical suite reports."""
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -276,6 +277,40 @@ class TestCheck:
         )
         assert code == 3
         assert "config error: members[1].weight: magnitude above 1e+100" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("quadratic_bound", float("nan")),
+        ("quadratic_bound", float("inf")),
+        ("quadratic_bound", float("-inf")),
+        ("quadratic_bound", True),
+        ("quadratic_bound", "0.1"),
+        ("quadratic_bound", 1e200),
+        ("members[0].weight", "1.5"),
+        ("members[0].weight", True),
+        ("members_v[1].weight", float("nan")),
+        ("constants.a", True),
+        ("constants.b", float("-inf")),
+        ("constants.c", "0.1"),
+        ("operators.K[0][0]", [True, 0]),
+    ])
+    def test_one_number_rule(self, tmp_path, capsys, field, value):
+        # every number of an instance file, weights, constants and the
+        # quadratic budget included, is a finite JSON number of magnitude
+        # at most 1e100; complex entries are pairs of them
+        def edit(obj):
+            *keys, last = [int(k) if k.isdigit() else k
+                           for k in re.findall(r"[^.\[\]]+", field)]
+            target = obj
+            for key in keys:
+                target = target[key]
+            target[last] = value
+
+        theorem, scenario = (("thm4.6", "parseval_exact")
+                             if field.startswith("constants")
+                             else ("prop4.5", "weight_shift"))
+        code, err = self.check_edited(tmp_path, capsys, theorem, scenario, edit)
+        assert code == 3
+        assert f"config error: {field}: " in err and "Traceback" not in err
 
     @pytest.mark.parametrize("theorem, scenario, factor", [
         ("thm4.6", "scaled_synthesis", 1e80),

@@ -1,6 +1,7 @@
-"""A guard against dead imports: every module-level import in the package
-and in its tests is referenced by the module that makes it, or exported in
-its __all__."""
+"""Guards against dead code: every module-level import in the package and
+in its tests is referenced by the module that makes it, or exported in its
+__all__, and every private module-level name of the package (a `_x`
+function, class or constant) is referenced somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,48 @@ def test_every_test_import_is_used(path):
 def test_the_guard_sees_an_unused_import():
     source = "import math\nimport numpy as np\nfrom x import y, z\n__all__ = ['z']\nnp.eye\n"
     assert unused_imports(source) == ["math (line 1)", "y (line 3)"]
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [n for n in names
+            if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
+
+
+def orphans(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each private module-level name that no module
+    of ``sources`` loads, reads as an attribute or imports."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return [f"{module}:{name}" for module, tree in trees.items()
+            for name in private_definitions(tree) if name not in referenced]
+
+
+def test_every_private_name_is_used():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert orphans(sources) == []
+
+
+def test_the_guard_sees_an_orphan():
+    sources = {
+        "a.py": "_LIMIT = 1\n_spare = 2\n__version__ = '1'\n"
+                "def _helper():\n    return _LIMIT\n"
+                "def _left_behind():\n    pass\nclass _Unused:\n    pass\n",
+        "b.py": "from .a import _helper\n_helper()\n",
+    }
+    assert orphans(sources) == ["a.py:_spare", "a.py:_left_behind", "a.py:_Unused"]

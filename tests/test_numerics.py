@@ -360,6 +360,10 @@ class TestQuadraticForms:
         bound = 1e-12 * operator_norm(form) * np.sum(np.abs(cols) ** 2, axis=0)
         assert got.shape == (n_cols,)
         assert np.all(np.abs(got - expected) <= bound)
+        # a stack of forms gives one row per form
+        stacked = quadratic_forms(np.stack([form, -2.0 * form]), cols)
+        assert stacked.shape == (2, n_cols)
+        assert np.all(np.abs(stacked - [expected, -2.0 * expected]) <= 2.0 * bound)
 
 
 class TestHermitianEig:

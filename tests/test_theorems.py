@@ -32,7 +32,6 @@ from framekit.numerics import (
     hermitian_part,
     projector,
     psd_scale_bisection,
-    quadratic_forms,
 )
 from framekit.theorems import (
     GRID_SAMPLES,
@@ -40,7 +39,6 @@ from framekit.theorems import (
     _exact_hypothesis,
     _grid,
     _member_diffs,
-    _member_energies,
     _side_norms,
     check_drazin,
     check_erasure,
@@ -376,7 +374,8 @@ class TestQuadraticPerturbation:
         assert report.actual.lower == pytest.approx(0.8, rel=1e-12)
         assert report.actual.upper == pytest.approx(1.0, rel=1e-12)
         assert report.notes["cauchy_schwarz_upper"] == pytest.approx(1.2)
-        assert report.residuals["psd_certificate_gap"] >= -1e-12
+        assert report.notes["hypothesis_certificate"] == "exact"
+        assert report.residuals["hypothesis_violation"] <= 1e-12
 
     def test_budget_must_be_positive(self):
         ww = weighted_axes([1.0, 1.0])
@@ -403,6 +402,73 @@ class TestQuadraticPerturbation:
         assert report.passed
         assert math.isinf(report.predicted.lower)
         assert math.isinf(report.actual.lower)
+
+    @staticmethod
+    def band_pair(delta):
+        # D_1 = delta diag(1, -1) and D_2 = delta [[0, 1], [1, 0]]: the true
+        # supremum of |<f, D_1 f>| + |<f, D_2 f>| is sqrt(2) delta, while
+        # |D_1| + |D_2| = 2 delta I
+        def member(x, y, weight):
+            return Subspace.from_span(np.array([[x], [y]])), weight
+
+        root, h = math.sqrt(delta), math.sqrt(0.5)
+        units = (member(1.0, 0.0, 1.0), member(0.0, 1.0, 1.0))
+        ww = WeightedSubspaceFamily(
+            2, (member(1.0, 0.0, root), member(h, h, root)) + units)
+        vv = WeightedSubspaceFamily(
+            2, (member(0.0, 1.0, root), member(h, -h, root)) + units)
+        return ww, vv
+
+    @pytest.mark.parametrize("factor, certificate", [
+        (2.05, "exact"),    # above |D_1| + |D_2|: certified
+        (1.7, "sampled"),   # between sqrt(2) and 2: the band, on the grid
+        (1.3, None),        # below sqrt(2): rejected on the grid
+    ])
+    def test_indefinite_deviations(self, monkeypatch, factor, certificate):
+        delta = 0.1
+        draws = []
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return random_unit_vectors(*args, **kwargs)
+
+        monkeypatch.setattr(framekit.theorems, "random_unit_vectors", counted)
+        ww, vv = self.band_pair(delta)
+        r = factor * delta
+        if certificate is None:
+            with pytest.raises(HypothesisFailed) as err:
+                check_quadratic_perturbation(ww, vv, np.eye(2), r=r)
+            assert err.value.clause == ("quadratic deviation inequality fails "
+                                        "on the grid")
+            assert err.value.residual == pytest.approx(
+                (math.sqrt(2) - factor) * delta, rel=1e-3)
+        else:
+            report = check_quadratic_perturbation(ww, vv, np.eye(2), r=r)
+            assert report.passed
+            assert report.notes["hypothesis_certificate"] == certificate
+            assert report.residuals["hypothesis_violation"] <= 0.0
+        # only the band and a grid rejection draw random vectors
+        assert bool(draws) == (certificate != "exact")
+
+    def test_pass_makes_two_eigh_calls_and_draws_nothing(self, monkeypatch):
+        # the stacked member forms and R K K* - sum |D_i|; the G of the two
+        # k_lower_bound calls is read by eigvalsh, not eigh
+        inst = build_instance("prop4.5", GenSpec(7, 10, "rotation"))
+        inst.family.fusion_eig, inst.family_v.fusion_eig  # fill the caches
+        eighs, draws = [], []
+        eigh = np.linalg.eigh
+
+        def counted_eigh(m, *args, **kwargs):
+            eighs.append(np.ndim(m))
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(framekit.theorems, "random_unit_vectors",
+                            lambda *args, **kwargs: draws.append(args))
+        report = check_instance(inst)
+        assert report.passed
+        assert report.notes["hypothesis_certificate"] == "exact"
+        assert sorted(eighs) == [2, 3] and draws == []
 
 
 class TestSynthesisPerturbation:
@@ -532,16 +598,24 @@ class TestGrid:
     @pytest.mark.parametrize("scenario", ["weight_shift", "rotation", "budget_half"])
     @pytest.mark.parametrize("scalar", ["real", "complex"])
     def test_stacked_member_spectra_match_per_form_calls(self, scenario, scalar):
-        # prop4.5's sign test reads every member form's spectrum from one
-        # stacked eigvalsh call
+        # prop4.5's certificate sums |D_i| from one stacked eigh call and
+        # one batched product; the reference builds each |D_i| on its own
         for seed, dim in ((1, 2), (2, 5), (3, 16)):
             inst = build_instance("prop4.5", GenSpec(seed, dim, scenario,
                                                      {"scalar": scalar}))
-            forms = [hermitian_part(w * w * projector(sw) - v * v * projector(sv))
-                     for (sw, w), (sv, v) in zip(inst.family.members,
-                                                 inst.family_v.members)]
-            assert np.array_equal(np.linalg.eigvalsh(np.stack(forms)),
-                                  [np.linalg.eigvalsh(f) for f in forms])
+            # budget_half claims half its certified budget
+            r = inst.quadratic_bound * (2.0 if scenario == "budget_half" else 1.0)
+            report = check_instance(dataclasses.replace(inst, quadratic_bound=r))
+            assert report.notes["hypothesis_certificate"] == "exact"
+            abs_sum = 0.0
+            for (sw, w), (sv, v) in zip(inst.family.members, inst.family_v.members):
+                d = hermitian_part(w * w * projector(sw) - v * v * projector(sv))
+                vals, vecs = np.linalg.eigh(d)
+                abs_sum = abs_sum + (vecs * np.abs(vals)) @ vecs.conj().T
+            k = inst.operators["K"]
+            gap = np.linalg.eigvalsh(hermitian_part(r * k @ k.conj().T - abs_sum))[0]
+            scale = r * np.linalg.norm(k, 2) ** 2 + np.linalg.norm(abs_sum, 2)
+            assert abs(report.residuals["hypothesis_violation"] + gap) <= 1e-12 * scale
 
     def test_identical_families_give_zero_forms(self):
         inst = build_instance("thm4.4.3", GenSpec(5, 12, "identical"))
@@ -583,15 +657,6 @@ class TestGridSides:
                                    old_energy, rtol=0,
                                    atol=1e-12 * sum(w * w for w in ww.weights))
 
-        old_quadratic = sum(
-            np.abs(quadratic_forms(
-                hermitian_part(w * w * projector(sw) - v * v * projector(sv)), cols))
-            for (sw, w), (sv, v) in pairs
-        )
-        lhs = np.abs(_member_energies(ww, cols) - _member_energies(vv, cols)).sum(axis=0)
-        scale = sum(w * w + v * v for (_, w), (_, v) in pairs)
-        np.testing.assert_allclose(lhs, old_quadratic, rtol=0, atol=1e-12 * scale)
-
 
 class TestGridEigensolves:
     def count_eighs(self, monkeypatch):
@@ -607,8 +672,6 @@ class TestGridEigensolves:
 
     @pytest.mark.parametrize("theorem, scenario, others", [
         ("thm4.4.3", "rotation", 0),
-        # the G of its two k_lower_bound calls is read by eigvalsh, not eigh
-        ("prop4.5", "rotation", 0),
     ])
     def test_pair_check_makes_one_grid_eigh_call(self, monkeypatch, theorem,
                                                  scenario, others):
