@@ -48,12 +48,3 @@ def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int,
         flat = standard_normal(rng, n).astype(np.complex128)
     return flat.reshape(rows, cols)
 
-
-def random_unit_vectors(seed: int, dim: int, count: int,
-                        complex_scalars: bool) -> np.ndarray:
-    """Deterministic batch of unit vectors, one per row."""
-    rng = make_rng(seed)
-    g = gaussian_matrix(rng, count, dim, complex_scalars)
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0.0] = 1.0
-    return g / norms[:, None]

@@ -48,6 +48,10 @@ class HypothesisFailed(FramekitError):
         super().__init__(msg)
 
 
+class HypothesisUndecided(HypothesisFailed):
+    """Neither a certificate nor a witness decides a pointwise hypothesis."""
+
+
 class AdmissibilityFailed(HypothesisFailed):
     """Constants fall outside a checker's admissibility window."""
 

@@ -570,7 +570,7 @@ class TheoremEntry:
     ``scenarios`` is the pass-scenario cycle the suite walks and
     ``spoiler`` the one scenario built to be rejected.  ``generate(spec,
     rng)`` returns the Instance fields other than ``meta``, and
-    ``check(inst, tol, seed)`` runs the theorem's checker.  ``required``
+    ``check(inst, tol)`` runs the theorem's checker.  ``required``
     lists the instance fields the checker reads beyond ``members``, as
     field paths.
     """
@@ -578,7 +578,7 @@ class TheoremEntry:
     scenarios: tuple[str, ...]
     spoiler: str
     generate: Callable[[GenSpec, np.random.Generator], dict]
-    check: Callable[[Instance, float, int], TheoremReport]
+    check: Callable[[Instance, float], TheoremReport]
     required: tuple[str, ...]
 
 
@@ -590,71 +590,64 @@ class TheoremEntry:
 REGISTRY: Mapping[str, TheoremEntry] = {
     "thm3.1": TheoremEntry(
         ("dressed_subset",), "non_idempotent", _gen_image,
-        lambda inst, tol, seed: check_image_under_k(
-            inst.family, inst.operators["K"], tol, seed),
+        lambda inst, tol: check_image_under_k(inst.family, inst.operators["K"], tol),
         ("operators.K",),
     ),
     "lem3.2": TheoremEntry(
         ("drazin_core", "invertible"), "nilpotent", _gen_drazin,
-        lambda inst, tol, seed: check_drazin(
-            inst.family, inst.operators["K"], tol, seed),
+        lambda inst, tol: check_drazin(inst.family, inst.operators["K"], tol),
         ("operators.K",),
     ),
     "thm3.4": TheoremEntry(
         ("duplicated_axes",), "erasure_overload", _gen_erasure,
-        lambda inst, tol, seed: check_erasure(
-            inst.family, inst.operators["K"], inst.erased, tol, seed),
+        lambda inst, tol: check_erasure(
+            inst.family, inst.operators["K"], inst.erased, tol),
         ("operators.K",),
     ),
     "lem4.1": TheoremEntry(
         ("scale_down", "scale_up", "additive", "to_identity"), "false_constants",
         _gen_operator_pert,
-        lambda inst, tol, seed: check_operator_perturbation(
+        lambda inst, tol: check_operator_perturbation(
             inst.family, inst.operators["K1"], inst.operators["K2"],
-            inst.constants, tol, seed),
+            inst.constants, tol),
         ("operators.K1", "operators.K2", "constants"),
     ),
     "thm4.4.1": TheoremEntry(
         _PAIR_BASES + ("weight_shift_with_k",), "inadmissible_b",
         _gen_projection_zero,
-        lambda inst, tol, seed: check_projection_zero(
-            inst.family, inst.family_v, inst.constants, inst.operators.get("K"),
-            tol, seed),
+        lambda inst, tol: check_projection_zero(
+            inst.family, inst.family_v, inst.constants, inst.operators.get("K"), tol),
         ("members_v", "constants"),
     ),
     "thm4.4.2": TheoremEntry(
         _PAIR_BASES, "inadmissible_a", _gen_projection_k_star,
-        lambda inst, tol, seed: check_projection_k_star(
-            inst.family, inst.family_v, inst.operators["K"], inst.constants,
-            tol, seed),
+        lambda inst, tol: check_projection_k_star(
+            inst.family, inst.family_v, inst.operators["K"], inst.constants, tol),
         ("members_v", "operators.K", "constants"),
     ),
     "thm4.4.3": TheoremEntry(
         _PAIR_BASES, "false_constants", _gen_projection_plain,
-        lambda inst, tol, seed: check_projection_plain(
-            inst.family, inst.family_v, inst.constants, tol, seed),
+        lambda inst, tol: check_projection_plain(
+            inst.family, inst.family_v, inst.constants, tol),
         ("members_v", "constants"),
     ),
     "prop4.5": TheoremEntry(
         ("weight_shift", "rotation"), "budget_half", _gen_quadratic,
-        lambda inst, tol, seed: check_quadratic_perturbation(
-            inst.family, inst.family_v, inst.operators["K"],
-            inst.quadratic_bound, tol, seed),
+        lambda inst, tol: check_quadratic_perturbation(
+            inst.family, inst.family_v, inst.operators["K"], inst.quadratic_bound, tol),
         ("members_v", "operators.K", "quadratic_bound"),
     ),
     "thm4.6": TheoremEntry(
         ("scaled_synthesis", "scaled_synthesis_b", "parseval_exact"), "understated",
         _gen_synthesis,
-        lambda inst, tol, seed: check_synthesis_perturbation(
-            inst.family, inst.erased, inst.operators["K"], inst.constants,
-            tol, seed),
+        lambda inst, tol: check_synthesis_perturbation(
+            inst.family, inst.erased, inst.operators["K"], inst.constants, tol),
         ("operators.K", "constants"),
     ),
     "thm4.7": TheoremEntry(
         ("shifted_synthesis",), "inadmissible_a", _gen_shifted_synthesis,
-        lambda inst, tol, seed: check_synthesis_closed_range(
-            inst.family, inst.erased, inst.operators["K"], inst.constants,
-            tol, seed),
+        lambda inst, tol: check_synthesis_closed_range(
+            inst.family, inst.erased, inst.operators["K"], inst.constants, tol),
         ("operators.K", "constants"),
     ),
 }
@@ -695,7 +688,7 @@ def check_instance(inst: Instance, tol: float = 1e-9) -> TheoremReport:
     """
     entry = REGISTRY[inst.meta["theorem"]]
     with one_blas_thread():
-        return entry.check(inst, tol, int(inst.meta.get("seed", 0)))
+        return entry.check(inst, tol)
 
 
 _SUITE_DIMS = (2, 3, 4, 5, 6, 8, 10, 12, 16)

@@ -30,7 +30,7 @@ from .errors import (
 )
 
 RANK_TOL = 1e-10
-# a min-eigenvalue PSD test passes down to -_PSD_SLACK * max(1, ||Sw||)
+# a min-eigenvalue PSD test passes down to -_PSD_SLACK * ||Sw||
 _PSD_SLACK = 1e-13
 # psd_scale_bisection reports inf once doubling the scale still passes
 # after this many doublings
@@ -403,7 +403,7 @@ def psd_scale_bisection(sw, g) -> float:
     g = hermitian_part(g)
     if operator_norm(g) == 0.0:
         return math.inf
-    slack = _PSD_SLACK * max(1.0, operator_norm(sw))
+    slack = _PSD_SLACK * operator_norm(sw)
 
     def ok(a: float) -> bool:
         return float(np.linalg.eigvalsh(sw - a * g)[0]) >= -slack
@@ -419,7 +419,7 @@ def psd_scale_bisection(sw, g) -> float:
             return math.inf
     lo = 0.0
     for _ in range(300):
-        if hi - lo <= 1e-13 * max(hi, 1.0):
+        if hi - lo <= 1e-13 * hi:
             break
         mid = (lo + hi) / 2.0
         if ok(mid):
@@ -430,19 +430,21 @@ def psd_scale_bisection(sw, g) -> float:
 
 
 def _certify_psd_scale(sw: np.ndarray, g: np.ndarray, a: float,
-                       sw_norm: float) -> None:
+                       sw_norm: float, g_max: float) -> None:
     """Raise OracleMismatch unless ``a`` is the largest scale with Sw - a G
-    PSD, to 1e-8 relative (floored at one), for Hermitian Sw and PSD G.
+    PSD, to 1e-8 relative, for Hermitian Sw (norm ``sw_norm``) and PSD G
+    (top eigenvalue ``g_max``).
 
     The test ok(t) := lambda_min(Sw - t G) >= -slack, with the slack of
     psd_scale_bisection, is monotone in t because G is PSD.  So ok(a - d)
-    together with not ok(a + d), d = 1e-8 max(1, a), pins the threshold to
-    within d of ``a``: the question the bisection answers, in two
-    eigensolves.  The lower test is skipped when a - d <= 0, since the
+    together with not ok(a + d), d = 1e-8 max(a, ||Sw|| / lambda_max(G)),
+    pins the threshold to within d of ``a``: the question the bisection
+    answers, in two eigensolves.  Both d and the slack scale with the
+    forms.  The lower test is skipped when a - d <= 0, since the
     threshold is never below 0.
     """
-    slack = _PSD_SLACK * max(1.0, sw_norm)
-    delta = 1e-8 * max(1.0, a)
+    slack = _PSD_SLACK * sw_norm
+    delta = 1e-8 * max(a, sw_norm / g_max)
 
     def ok(t: float) -> bool:
         return float(np.linalg.eigvalsh(sw - t * g)[0]) >= -slack
@@ -453,9 +455,9 @@ def _certify_psd_scale(sw: np.ndarray, g: np.ndarray, a: float,
         )
 
 
-def _closed_psd_scale(sw_eig: EigenResult, g) -> tuple[float, np.ndarray]:
-    """The closed form of max_psd_scale, uncertified, and G's Hermitian
-    part, from Sw's eigendecomposition ``sw_eig``.
+def _closed_psd_scale(sw_eig: EigenResult, g) -> tuple[float, np.ndarray, float]:
+    """The closed form of max_psd_scale, uncertified, G's Hermitian part
+    and lambda_max(G), from Sw's eigendecomposition ``sw_eig``.
 
     The values 0 (range(G) escapes range(Sw)) and +inf (G = 0) are exact;
     a value in between is 1 / lambda_max of G compressed by the inverse
@@ -468,26 +470,26 @@ def _closed_psd_scale(sw_eig: EigenResult, g) -> tuple[float, np.ndarray]:
     _require_psd(g_w, "G")
     g_max = float(g_w[-1]) if g_w.size else 0.0
     if g_max <= 0.0:
-        return math.inf, gh
+        return math.inf, gh, g_max
     s_max = float(sw_w[-1]) if sw_w.size else 0.0
     if s_max <= 0.0:
-        return 0.0, gh
+        return 0.0, gh, g_max
     keep = sw_w > RANK_TOL * s_max
     if not np.any(keep):
-        return 0.0, gh
+        return 0.0, gh, g_max
     vr = sw_eig.eigenvectors[:, keep]
     lam = sw_w[keep]
     if not np.all(keep):
         # at full rank range(G) <= range(Sw) always holds: the leak is rounding
         leak = gh - vr @ (vr.conj().T @ gh)
         if operator_norm(leak) > RANK_TOL * g_max:
-            return 0.0, gh
+            return 0.0, gh, g_max
     inv_sqrt = 1.0 / np.sqrt(lam)
     compressed = (vr.conj().T @ gh @ vr) * inv_sqrt[:, None] * inv_sqrt[None, :]
     mu = float(np.linalg.eigvalsh(hermitian_part(compressed))[-1])
     if mu <= 0.0:
-        return math.inf, gh  # G vanishes on range(Sw); defensive, G=0 handled above
-    return 1.0 / mu, gh
+        return math.inf, gh, g_max  # G vanishes on range(Sw); defensive, G=0 handled above
+    return 1.0 / mu, gh, g_max
 
 
 def max_psd_scale(sw, g, *, sw_eig: EigenResult | None = None) -> float:
@@ -495,17 +497,17 @@ def max_psd_scale(sw, g, *, sw_eig: EigenResult | None = None) -> float:
 
     Computed in closed form as 1 / lambda_max of G compressed by the inverse
     square root of Sw on its range, then certified by two min-eigenvalue
-    tests; a closed form off the PSD threshold by more than 1e-8 (relative,
-    floored at one) raises OracleMismatch.  Returns 0 when range(G) is not
+    tests; a closed form off the PSD threshold by more than 1e-8 (relative)
+    raises OracleMismatch.  Returns 0 when range(G) is not
     inside range(Sw), and +inf when G = 0 (the constraint is vacuous).
     ``sw_eig``, when given, must be ``hermitian_eig(sw)``, such as a
     family's cached ``fusion_eig``; it saves recomputing it.
     """
     if sw_eig is None:
         sw_eig = hermitian_eig(sw, name="Sw")
-    closed, gh = _closed_psd_scale(sw_eig, g)
+    closed, gh, g_max = _closed_psd_scale(sw_eig, g)
     if 0.0 < closed < math.inf:
         sw_w = sw_eig.eigenvalues
         _certify_psd_scale(hermitian_part(sw), gh, closed,
-                           max(abs(sw_w[0]), abs(sw_w[-1])))
+                           max(abs(sw_w[0]), abs(sw_w[-1])), g_max)
     return closed

@@ -348,12 +348,10 @@ def report_to_obj(report: TheoremReport) -> dict:
         "format": REPORT_FORMAT,
         "theorem_id": report.theorem_id,
         "passed": report.passed,
-        "hypotheses_ok": report.hypotheses_ok,
         "predicted": _bounds_to_obj(report.predicted),
         "actual": _bounds_to_obj(report.actual),
         "lower_margin": report.lower_margin,
         "upper_margin": report.upper_margin,
-        "seed": report.seed,
         "residuals": {k: report.residuals[k] for k in sorted(report.residuals)},
         "notes": {k: report.notes[k] for k in sorted(report.notes)},
     }

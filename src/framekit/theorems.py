@@ -12,35 +12,28 @@ prediction brackets reality:
 
 The perturbation hypotheses (lem4.1, thm4.4.*, thm4.6, thm4.7) are
 pointwise inequalities sqrt<f, L f> <= sum_j c_j sqrt<f, R_j f> between
-PSD forms.  With at most one nonzero constant c the inequality holds for
-every f exactly when L <= c^2 R (Douglas' majorization lemma), and the
-optimal constant 1/sqrt(max_psd_scale(R, L)) decides it: the report's
-notes say ``hypothesis_certificate: "exact"``.  A rejection then carries
-a witness vector's violation as its residual.  Otherwise, and in the
-narrow band where neither the certificate nor a witness decides, the
-inequality is checked on a grid: every eigenvector of every form on
-either side, plus 500 seeded random unit vectors, and the certificate is
-"sampled".  prop4.5's quadratic budget follows the same order: the
-certificate sum_i |D_i| <= R K K*, then a witness, then the grid.
-Reports carry the seed used, so any run can be replayed.
+PSD forms, and prop4.5's is a quadratic budget.  Each is decided by a
+certificate or refuted by a witness vector, or else HypothesisUndecided
+is raised (see _check_hypothesis and _quadratic_hypothesis).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NoReturn, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     AdmissibilityFailed,
     DimensionMismatch,
     HypothesisFailed,
+    HypothesisUndecided,
     OracleMismatch,
     ZeroDrazin,
 )
-from ._rng import random_unit_vectors
 from .frame_core import (
     FrameBounds,
     WeightedSubspaceFamily,
@@ -51,6 +44,7 @@ from .frame_core import (
 from .kfusion import k_bounds, k_operator
 from .numerics import (
     RANK_TOL,
+    EigenResult,
     _certify_psd_scale,
     _closed_psd_scale,
     drazin,
@@ -67,7 +61,13 @@ from .numerics import (
 
 BRACKET_SLACK = 1e-8
 DEFAULT_TOL = 1e-9
-GRID_SAMPLES = 500
+# _two_term_hypothesis tests the pencil bound raised by _LEVEL_MARGIN, takes
+# a root of det P(s) as real when |Im| <= _ROOT_IMAG, and moves s at most
+# _LEVEL_ROUNDS times.
+_LEVEL_MARGIN = 1e-12
+_ROOT_IMAG = 1e-3
+_LEVEL_ROUNDS = 8
+_UNDECIDED = "hypothesis undecided: neither a certificate nor a witness decides it"
 
 __all__ = [
     "BRACKET_SLACK",
@@ -106,21 +106,19 @@ class PerturbationConstants:
 class TheoremReport:
     """Outcome of one checker run.
 
-    ``passed`` is true when the hypotheses held and both predicted bounds
-    bracket the actual optimal ones within the relative slack.  Multi-part
+    ``passed`` is true when both predicted bounds bracket the actual optimal
+    ones within the relative slack; a failed hypothesis raises instead.  Multi-part
     checkers carry sub-reports in ``parts``; the top-level verdict is the
     conjunction.
     """
 
     theorem_id: str
-    hypotheses_ok: bool
     residuals: Mapping[str, float]
     predicted: FrameBounds
     actual: FrameBounds
     passed: bool
     lower_margin: float
     upper_margin: float
-    seed: int = 0
     notes: Mapping[str, object] = field(default_factory=dict)
     parts: tuple["TheoremReport", ...] = ()
 
@@ -138,7 +136,7 @@ def _slack_margin(x: float, y: float) -> float:
 
 
 def _bracket_report(theorem_id: str, predicted: FrameBounds, actual: FrameBounds,
-                    residuals: Mapping[str, float], seed: int,
+                    residuals: Mapping[str, float],
                     notes: Mapping[str, object] | None = None,
                     extra_ok: bool = True,
                     parts: tuple[TheoremReport, ...] = ()) -> TheoremReport:
@@ -147,7 +145,6 @@ def _bracket_report(theorem_id: str, predicted: FrameBounds, actual: FrameBounds
     parts_ok = all(p.passed for p in parts)
     return TheoremReport(
         theorem_id=theorem_id,
-        hypotheses_ok=True,
         residuals=dict(residuals),
         predicted=predicted,
         actual=actual,
@@ -155,30 +152,9 @@ def _bracket_report(theorem_id: str, predicted: FrameBounds, actual: FrameBounds
                     and parts_ok),
         lower_margin=lower_margin,
         upper_margin=upper_margin,
-        seed=seed,
         notes=dict(notes or {}),
         parts=parts,
     )
-
-
-def _has_imag(*arrays) -> bool:
-    return any(a.size and float(np.abs(a.imag).max()) > 0.0 for a in arrays)
-
-
-def _grid(dim: int, forms: Sequence[np.ndarray | WeightedSubspaceFamily],
-          seed: int, complex_probe: bool) -> np.ndarray:
-    """Unit-vector columns: eigenvectors of each form plus GRID_SAMPLES
-    seeded random unit vectors.
-
-    A family stands for its fusion operator and gives its cached
-    eigenvectors; the Hermitian matrices share one stacked eigh call.
-    """
-    stacked = np.stack([f for f in forms if isinstance(f, np.ndarray)])
-    vectors = iter(np.linalg.eigh(stacked)[1])
-    pieces = [next(vectors) if isinstance(f, np.ndarray)
-              else f.fusion_eig.eigenvectors for f in forms]
-    pieces.append(random_unit_vectors(seed, dim, GRID_SAMPLES, complex_probe).T)
-    return np.hstack(pieces)
 
 
 def _col_norms(m: np.ndarray) -> np.ndarray:
@@ -204,7 +180,7 @@ def _div(num: float, den: float) -> float:
 
 
 def check_image_under_k(family: WeightedSubspaceFamily, k,
-                        tol: float = DEFAULT_TOL, seed: int = 0) -> TheoremReport:
+                        tol: float = DEFAULT_TOL) -> TheoremReport:
     """Bounds transfer to the image family {(closure(K W_i), v_i)}.
 
     Hypotheses: K is idempotent, the family is a K-fusion frame, and the
@@ -251,11 +227,11 @@ def check_image_under_k(family: WeightedSubspaceFamily, k,
         "idempotency": idem_residual,
         "image_containment": containment,
     }
-    return _bracket_report("thm3.1", predicted, actual, residuals, seed)
+    return _bracket_report("thm3.1", predicted, actual, residuals)
 
 
-def check_drazin(family: WeightedSubspaceFamily, k, tol: float = DEFAULT_TOL,
-                 seed: int = 0) -> TheoremReport:
+def check_drazin(family: WeightedSubspaceFamily, k,
+                 tol: float = DEFAULT_TOL) -> TheoremReport:
     """Bounds for the compositions S K S, S K and K S, S the Drazin inverse.
 
     Predicted lower bounds: A/||S||^4 for S K S and A/||S||^2 for both S K
@@ -297,20 +273,18 @@ def check_drazin(family: WeightedSubspaceFamily, k, tol: float = DEFAULT_TOL,
     parts = tuple(
         _bracket_report(f"lem3.2:{name}",
                         FrameBounds(predicted_lower, bounds.upper, "predicted"),
-                        k_bounds(family, op), {}, seed)
+                        k_bounds(family, op), {})
         for name, op, predicted_lower in compositions
     )
     head = parts[0]
     return TheoremReport(
         theorem_id="lem3.2",
-        hypotheses_ok=True,
         residuals=residuals,
         predicted=head.predicted,
         actual=head.actual,
         passed=all(p.passed for p in parts),
         lower_margin=min(p.lower_margin for p in parts),
         upper_margin=min(p.upper_margin for p in parts),
-        seed=seed,
         notes={"drazin_index": index, "s_norm": s_norm},
         parts=parts,
     )
@@ -346,7 +320,7 @@ def _compressed_pencil(reduced: WeightedSubspaceFamily,
 
 
 def check_erasure(family: WeightedSubspaceFamily, k, erased: Sequence[int],
-                  tol: float = DEFAULT_TOL, seed: int = 0) -> TheoremReport:
+                  tol: float = DEFAULT_TOL) -> TheoremReport:
     """Bounds surviving member erasure, restricted to range(K).
 
     With C the erased weight mass sum of v_i^2, the reduced family obeys
@@ -373,26 +347,10 @@ def check_erasure(family: WeightedSubspaceFamily, k, erased: Sequence[int],
     residuals = {"erased_mass": mass}
     notes = {"erased": list(dropped)}
     return _bracket_report("thm3.4", predicted, _compressed_pencil(reduced, k),
-                           residuals, seed, notes)
-
-
-def _verify_pointwise(lhs: np.ndarray, rhs: np.ndarray, tol: float,
-                      clause: str) -> float:
-    worst = float((lhs - rhs).max())
-    if worst > tol:
-        raise HypothesisFailed(clause, worst)
-    return worst
+                           residuals, notes)
 
 
 Side = np.ndarray | WeightedSubspaceFamily
-
-
-def _side_factor(side: Side) -> np.ndarray:
-    """X whose ||X* f|| is the side's norm; a family gives its synthesis
-    matrix T, with ||T* f||^2 = <f, S_W f>."""
-    if isinstance(side, WeightedSubspaceFamily):
-        return fusion_synthesis_matrix(side)
-    return side
 
 
 def _side_form(side: Side) -> np.ndarray:
@@ -403,56 +361,55 @@ def _side_form(side: Side) -> np.ndarray:
 
 
 def _side_norms(side: Side, cols: np.ndarray) -> np.ndarray:
-    return _col_norms(_side_factor(side).conj().T @ cols)
+    """||X* f|| for each column f; a family stands for its synthesis matrix
+    T, with ||T* f||^2 = <f, S_W f>."""
+    if isinstance(side, WeightedSubspaceFamily):
+        side = fusion_synthesis_matrix(side)
+    return _col_norms(side.conj().T @ cols)
 
 
-def _pencil_witness(left: np.ndarray, left_form: np.ndarray, side: Side,
-                    right_eig, c: float) -> float:
-    """Largest violation ||X* f|| - c ||Y* f|| over two unit candidates:
-    the top vector of the pencil X X* g = mu Y Y* g compressed to
-    range(Y Y*), and the top vector of X X* on the numerical kernel of
-    Y Y*, where X X* leaks out of that range.  ``left_form`` is X X*."""
+def _pencil_tops(left_form: np.ndarray, right_eig: EigenResult) -> list[np.ndarray]:
+    """Candidates for the largest ratio <f, L f> / <f, R f>, L =
+    ``left_form`` and R the form ``right_eig`` decomposes: the top vector
+    of the pencil L g = mu R g compressed to range(R), and the top vector
+    of L on the numerical kernel of R, where L leaks out of that range."""
     w, v = right_eig.eigenvalues, right_eig.eigenvectors
     keep = w > RANK_TOL * max(float(w[-1]), 0.0)
     bases = [v[:, ~keep], v[:, keep] / np.sqrt(w[keep])]
-    candidates = [
+    return [
         b @ np.linalg.eigh(hermitian_part(b.conj().T @ left_form @ b))[1][:, -1]
         for b in bases if b.shape[1]
     ]
+
+
+def _refute(left: np.ndarray, active: Sequence[tuple[float, Side]],
+            candidates: list[np.ndarray], tol: float, clause: str) -> NoReturn:
+    """Raise HypothesisFailed with ``clause`` when a candidate, normalized,
+    violates ||X* f|| <= sum_j c_j ||Y_j* f|| by more than ``tol``, and
+    HypothesisUndecided when none does."""
     cols = np.stack(candidates, axis=1)
     cols = cols / _col_norms(cols)
-    return float((_side_norms(left, cols) - c * _side_norms(side, cols)).max())
+    rhs = sum(c * _side_norms(side, cols) for c, side in active)
+    violation = float((_side_norms(left, cols) - rhs).max())
+    if violation > tol:
+        raise HypothesisFailed(clause, violation)
+    raise HypothesisUndecided(_UNDECIDED)
 
 
-def _exact_hypothesis(left: np.ndarray, terms: Sequence[tuple[float, Side]],
-                      tol: float, clause: str) -> float | None:
-    """Decide ||X* f|| <= sum_j c_j ||Y_j* f|| for all f, X = ``left``,
-    when at most one c_j is nonzero; None when it cannot.
+def _one_term_hypothesis(left: np.ndarray, left_form: np.ndarray, c: float,
+                         side: Side, tol: float, clause: str) -> float:
+    """Decide ||X* f|| <= c ||Y* f|| with c > 0, L = ``left_form`` = X X*.
 
-    With L = X X* and R = Y Y*: with no nonzero term the largest violation
-    over unit f is sqrt(lambda_max(L)), attained at L's top eigenvector.
-    With one, c_opt = 1/sqrt(max_psd_scale(R, L)) is the least constant
-    that holds (Douglas), so the violation is at most (c_opt - c)
+    With R = Y Y*, c_opt = 1/sqrt(max_psd_scale(R, L)) is the least
+    constant that holds (Douglas), so the violation is at most (c_opt - c)
     sqrt(lambda_max(R)): at most ``tol`` accepts and returns that bound.
-    Otherwise a witness violating by more than ``tol`` rejects, and no
-    witness leaves the decision to the grid.  The closed form of c_opt is
-    certified only when it would accept: a constant that is not accepted
-    goes to the witness whether or not its certificate holds.
+    c_opt is certified only when it would accept; a constant that is not
+    accepted goes to the witness whether or not its certificate holds.
     """
-    active = [(c, side) for c, side in terms if c != 0.0]
-    if len(active) > 1:
-        return None
-    left_form = _side_form(left)
-    if not active:
-        top = math.sqrt(max(float(np.linalg.eigvalsh(left_form)[-1]), 0.0))
-        if top > tol:
-            raise HypothesisFailed(clause, top)
-        return top
-    c, side = active[0]
     right = _side_form(side)
     right_eig = (side.fusion_eig if isinstance(side, WeightedSubspaceFamily)
                  else hermitian_eig(right))
-    scale, left_h = _closed_psd_scale(right_eig, left_form)
+    scale, left_h, left_max = _closed_psd_scale(right_eig, left_form)
     if scale > 0.0:
         w = right_eig.eigenvalues
         bound = (1.0 / math.sqrt(scale) - c) * math.sqrt(max(float(w[-1]), 0.0))
@@ -461,47 +418,124 @@ def _exact_hypothesis(left: np.ndarray, terms: Sequence[tuple[float, Side]],
                 if math.isfinite(scale):
                     # R is a Hermitian part already, as max_psd_scale passes it
                     _certify_psd_scale(right, left_h, scale,
-                                       max(abs(w[0]), abs(w[-1])))
+                                       max(abs(w[0]), abs(w[-1])), left_max)
                 return bound
             except OracleMismatch:
                 pass  # no certified constant: only a witness can decide
-    violation = _pencil_witness(left, left_form, side, right_eig, c)
-    if violation > tol:
-        raise HypothesisFailed(clause, violation)
-    return None
+    _refute(left, [(c, side)], _pencil_tops(left_form, right_eig), tol, clause)
+
+
+def _pencil_max(left_form: np.ndarray, form: np.ndarray) -> float:
+    """The largest <f, L f> / <f, M f>, M = ``form``: inf when L leaks out
+    of range(M)."""
+    scale = _closed_psd_scale(hermitian_eig(form), left_form)[0]
+    return math.inf if scale == 0.0 else 1.0 / scale
+
+
+def _two_term_hypothesis(left: np.ndarray, left_form: np.ndarray,
+                         active: Sequence[tuple[float, Side]], tol: float,
+                         clause: str) -> float:
+    """Decide ||X* f|| <= sum_j c_j ||Y_j* f|| with two or more c_j > 0,
+    L = ``left_form`` = X X*, by a level-set certificate.
+
+    With Q1 = c_1^2 Y_1 Y_1* and the later terms merged into Q2 = sum_j
+    c_j^2 Y_j Y_j* (a stronger inequality, as sqrt(sum c_j^2 y_j^2) <=
+    sum c_j y_j), Cauchy-Schwarz makes it L <= M(s) = Q1/s + Q2/(1-s) for
+    every s in (0, 1).  gamma, the largest pencil value of (L, M(s)) at s
+    and at the limits s -> 0, 1 (the pencils (L, Q2) on ker Q1 and (L, Q1)
+    on ker Q2), raised by _LEVEL_MARGIN, bounds them all when P(s) =
+    gamma((1-s) Q1 + s Q2) - s(1-s) L is PSD on (0, 1).  The real roots of
+    det P, eigenvalues of a 2n x 2n companion pencil, cut (0, 1) where
+    lambda_min(P) may change sign, so one midpoint per piece decides it
+    (Boyd and Balakrishnan, Systems & Control Letters 15, 1990).  The
+    violation is then at most (sqrt(gamma) - 1)(sqrt(lambda_max(Q1)) +
+    sqrt(lambda_max(Q2))), accepted at most ``tol``; a negative midpoint
+    moves s there for the next round.  The witness is the pencils' top
+    vectors at the last s and at the two ends.
+    """
+    (c1, side1), rest = active[0], active[1:]
+    q1 = c1 * c1 * _side_form(side1)
+    q2 = sum(c * c * _side_form(side) for c, side in rest)
+    eigs = (hermitian_eig(q1), hermitian_eig(q2))
+    ends = []
+    for eig, other in zip(eigs, (q2, q1)):
+        w, v = eig.eigenvalues, eig.eigenvectors
+        ker = v[:, w <= RANK_TOL * max(float(w[-1]), 0.0)]
+        if ker.shape[1]:
+            ends.append(_pencil_max(hermitian_part(ker.conj().T @ left_form @ ker),
+                                    hermitian_part(ker.conj().T @ other @ ker)))
+
+    def form_at(s):  # M(s); an s rounded onto an end of (0, 1) moves inside
+        s = min(max(s, 2.0**-53), 1.0 - 2.0**-53)
+        return q1 / s + q2 / (1.0 - s)
+
+    # start where L's top vector f meets the Cauchy-Schwarz equality
+    y1, y2 = np.sqrt(np.maximum(quadratic_forms(
+        np.stack([q1, q2]), np.linalg.eigh(left_form)[1][:, -1:])[:, 0], 0.0))
+    s = float(y1 / (y1 + y2)) if y1 + y2 > 0.0 else 0.5
+    gamma = max([_pencil_max(left_form, form_at(s)), *ends])
+    eye = np.eye(len(left_form))
+    for _ in range(_LEVEL_ROUNDS):
+        if math.isinf(gamma):
+            break
+        level = gamma * (1.0 + _LEVEL_MARGIN)
+        coeffs = np.stack([level * q1, level * (q2 - q1) - left_form, left_form])
+        # scaled to the companion's identity blocks, or QZ loses roots
+        a0, a1, a2 = coeffs / (np.abs(coeffs).max() or 1.0)
+        try:
+            roots = scipy.linalg.eigvals(np.block([[0 * eye, eye], [-a0, -a1]]),
+                                         np.block([[eye, 0 * eye], [0 * eye, a2]]))
+        except ValueError:  # QZ did not converge (LinAlgError), or a0 overflowed
+            break
+        roots = roots[np.isfinite(roots) & (np.abs(roots.imag) <= _ROOT_IMAG)].real
+        cuts = np.sort(np.r_[0.0, 1.0, roots[(roots > 0.0) & (roots < 1.0)]])
+        mids = (cuts[:-1] + cuts[1:]) / 2.0
+        t = mids[:, None, None]  # P in its factored form, accurate near an end
+        lowest = np.linalg.eigvalsh(level * ((1.0 - t) * q1 + t * q2)
+                                    - (t * (1.0 - t)) * left_form)[:, 0]
+        if lowest.min() >= 0.0:
+            bound = (math.sqrt(level) - 1.0) * sum(
+                math.sqrt(max(float(e.eigenvalues[-1]), 0.0)) for e in eigs)
+            if bound <= tol:
+                return bound
+            break
+        s = float(mids[np.argmin(lowest)])
+        gamma = max(gamma, _pencil_max(left_form, form_at(s)))
+    candidates = [top for form_eig in (hermitian_eig(form_at(s)), *eigs)
+                  for top in _pencil_tops(left_form, form_eig)]
+    _refute(left, active, candidates, tol, clause)
 
 
 def _check_hypothesis(left: np.ndarray, terms: Sequence[tuple[float, Side]],
-                      tol: float, clause: str, seed: int) -> tuple[float, str]:
-    """Check ||X* f|| <= sum_j c_j ||Y_j* f|| for all f, X = ``left``.
+                      tol: float, clause: str) -> float:
+    """Decide ||X* f|| <= sum_j c_j ||Y_j* f|| for all f, X = ``left``.
 
-    ``terms`` pairs each constant with its factor Y_j, or with a family,
-    which stands for its synthesis matrix.  Returns the residual, the
-    largest violation (certified or sampled), and the certificate kind,
-    "exact" or "sampled"; raises HypothesisFailed with ``clause`` when the
-    inequality fails beyond ``tol``.
+    ``terms`` pairs each constant with its factor Y_j, or with a family
+    for its synthesis matrix.  Returns a certified bound, at most ``tol``,
+    on the violation at every unit f.  Raises HypothesisFailed with
+    ``clause`` when a witness violates it by more than ``tol``, and
+    HypothesisUndecided when neither a certificate nor a witness decides.
     """
-    exact = _exact_hypothesis(left, terms, tol, clause)
-    if exact is not None:
-        return exact, "exact"
-    sides = [side for _, side in terms]
-    forms = [side if isinstance(side, WeightedSubspaceFamily) else _side_form(side)
-             for side in sides]
-    cols = _grid(left.shape[0], [_side_form(left)] + forms, seed,
-                 _has_imag(left, *map(_side_factor, sides)))
-    rhs = sum(c * _side_norms(side, cols) for c, side in terms if c)
-    return _verify_pointwise(_side_norms(left, cols), rhs, tol, clause), "sampled"
+    active = [(c, side) for c, side in terms if c != 0.0]
+    left_form = _side_form(left)
+    if not active:
+        top = math.sqrt(max(float(np.linalg.eigvalsh(left_form)[-1]), 0.0))
+        if top > tol:
+            raise HypothesisFailed(clause, top)
+        return top
+    if len(active) == 1:
+        return _one_term_hypothesis(left, left_form, *active[0], tol, clause)
+    return _two_term_hypothesis(left, left_form, active, tol, clause)
 
 
 def check_operator_perturbation(family: WeightedSubspaceFamily, k1, k2,
                                 constants: PerturbationConstants,
-                                tol: float = DEFAULT_TOL,
-                                seed: int = 0) -> TheoremReport:
+                                tol: float = DEFAULT_TOL) -> TheoremReport:
     """Stability of the lower bound under a relative operator perturbation.
 
     Hypothesis: ||(K1* - K2*) f|| <= a ||K1* f|| + b ||K2* f|| with b < 1,
-    exactly decided as D D* <= a^2 K1 K1* (D = K1 - K2) when b = 0, or the
-    same with K2 when a = 0; grid-checked when both are nonzero.
+    decided as D D* <= a^2 K1 K1* (D = K1 - K2) when b = 0, the same with
+    K2 when a = 0, and by the level-set certificate when both are nonzero.
     Predicted: the family is a K2-fusion frame with lower bound
     A ((1-b)/(1+a))^2 and unchanged upper bound.  When both a and b are
     below one the reverse transfer is checked as a sub-report.
@@ -514,9 +548,9 @@ def check_operator_perturbation(family: WeightedSubspaceFamily, k1, k2,
         raise AdmissibilityFailed("this hypothesis has no c-term")
     if b >= 1.0:
         raise AdmissibilityFailed(f"b = {b} must be below 1")
-    violation, certificate = _check_hypothesis(
+    violation = _check_hypothesis(
         k1 - k2, [(a, k1), (b, k2)], tol,
-        "perturbation inequality fails on the grid", seed,
+        "perturbation inequality fails on the grid",
     )
     source = _require_k_fusion(family, k1, "the family")
     lower1, upper = source.lower, source.upper
@@ -527,10 +561,7 @@ def check_operator_perturbation(family: WeightedSubspaceFamily, k1, k2,
         math.inf if math.isinf(lower1) else lower1 * factor, upper, "predicted"
     )
     parts: tuple[TheoremReport, ...] = ()
-    notes: dict[str, object] = {
-        "k2_is_identity": bool(operator_norm(k2 - np.eye(n)) <= 1e-12),
-        "hypothesis_certificate": certificate,
-    }
+    notes = {"k2_is_identity": bool(operator_norm(k2 - np.eye(n)) <= 1e-12)}
     if a < 1.0 and lower2 > 0.0:
         reverse_factor = ((1.0 - a) / (1.0 + b)) ** 2
         predicted_rev = FrameBounds(
@@ -539,13 +570,11 @@ def check_operator_perturbation(family: WeightedSubspaceFamily, k1, k2,
             "predicted",
         )
         parts = (
-            _bracket_report("lem4.1:reverse", predicted_rev, source, {}, seed),
+            _bracket_report("lem4.1:reverse", predicted_rev, source, {}),
         )
         notes["reverse_checked"] = True
-    residuals = {"hypothesis_violation": violation}
-    return _bracket_report(
-        "lem4.1", predicted, actual, residuals, seed, notes, parts=parts
-    )
+    return _bracket_report("lem4.1", predicted, actual,
+                           {"hypothesis_violation": violation}, notes, parts=parts)
 
 
 def _member_diffs(ww: WeightedSubspaceFamily,
@@ -556,37 +585,36 @@ def _member_diffs(ww: WeightedSubspaceFamily,
     ]
 
 
-def _budget_sides(forms: np.ndarray, gram: np.ndarray, r: float,
-                  cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of sum_i |<f, D_i f>| <= R <f, G f> at each column f,
-    D_i the stacked ``forms`` and G = ``gram``."""
-    return (np.abs(quadratic_forms(forms, cols)).sum(axis=0),
-            r * quadratic_forms(gram, cols))
-
-
 def _quadratic_hypothesis(forms: np.ndarray, gram: np.ndarray, r: float,
-                          tol: float, seed: int) -> tuple[float, str]:
-    """Check sum_i |<f, D_i f>| <= R <f, G f> for all f; the residual and
-    certificate kind as _check_hypothesis returns them.
+                          tol: float) -> float:
+    """Decide sum_i |<f, D_i f>| <= R <f, G f> for all f, D_i the stacked
+    ``forms`` and G = ``gram``; the outcomes of _check_hypothesis.
 
     Since |<f, D f>| <= <f, |D| f>, sum_i |D_i| <= R G proves it: when
     lambda_min of R G - sum_i |D_i| is at least -tol, its negation bounds
-    the violation at every unit f and the check is "exact".  Otherwise
-    that eigenvalue's vector is a witness, which rejects when it violates
-    the inequality by more than ``tol``.  With every D_i sign-definite,
-    |<f, D_i f>| = <f, |D_i| f>, so the witness attains the violation and
-    only indefinite D_i leave the decision to the grid.
+    the violation at every unit f.  Otherwise a sign ascent from that
+    eigenvalue's vector f looks for a witness: sigma_i = sign <f, D_i f>
+    (0 counts as +1), then f the top vector of sum_i sigma_i D_i - R G, at
+    most m + 1 times.  With every D_i sign-definite the first f attains
+    the violation, so only indefinite D_i can leave it undecided.
     """
     clause = "quadratic deviation inequality fails on the grid"
     w, v = np.linalg.eigh(forms)
     abs_sum = ((v * np.abs(w)[:, None, :]) @ v.conj().transpose(0, 2, 1)).sum(axis=0)
     gap, vectors = np.linalg.eigh(hermitian_part(r * gram - abs_sum))
     if -gap[0] <= tol:
-        return float(-gap[0]), "exact"
-    _verify_pointwise(*_budget_sides(forms, gram, r, vectors[:, :1]), tol, clause)
-    cols = _grid(gram.shape[0], [gram, *forms], seed, _has_imag(gram, forms))
-    sampled = _verify_pointwise(*_budget_sides(forms, gram, r, cols), tol, clause)
-    return sampled, "sampled"
+        return float(-gap[0])
+    f = vectors[:, :1]
+    for _ in range(len(forms) + 2):  # the start and m + 1 ascent steps
+        values = quadratic_forms(forms, f)
+        violation = float((np.abs(values).sum(axis=0)
+                           - r * quadratic_forms(gram, f)).max())
+        if violation > tol:
+            raise HypothesisFailed(clause, violation)
+        signs = np.where(values[:, 0] >= 0.0, 1.0, -1.0)
+        f = np.linalg.eigh(hermitian_part(
+            np.tensordot(signs, forms, axes=1) - r * gram))[1][:, -1:]
+    raise HypothesisUndecided(_UNDECIDED)
 
 
 def _paired(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFamily) -> None:
@@ -600,33 +628,26 @@ def _paired(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFamily) -> None:
 
 def _blockwise_hypothesis(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFamily,
                           constants: PerturbationConstants,
-                          c_side: np.ndarray | None, tol: float,
-                          seed: int) -> tuple[dict, dict]:
-    """Residuals and notes of the Thm 4.4 hypothesis
+                          c_side: np.ndarray | None, tol: float) -> dict:
+    """Residuals of the Thm 4.4 hypothesis
 
         sqrt(sum_i ||(w_i P_i - v_i Q_i) f||^2)
             <= a sqrt<f, S_W f> + b sqrt<f, S_V f> + c ||Y* f||,
 
-    Y = ``c_side``, with no c-term when it is None.  With one nonzero
-    constant it is decided exactly as a PSD pencil test against S_W, S_V
-    or Y Y*; with more it is grid-checked.
+    Y = ``c_side``, or None when there is no c-term (and so c = 0).  With
+    one nonzero constant it is decided as a PSD pencil test against S_W,
+    S_V or Y Y*; with more by the level-set certificate.
     """
-    terms: list[tuple[float, Side]] = [(constants.a, ww), (constants.b, vv)]
-    if c_side is not None:
-        terms.append((constants.c, c_side))
+    terms = [(constants.a, ww), (constants.b, vv), (constants.c, c_side)]
     # the d_i are Hermitian: ||d_i f|| = ||d_i* f||
-    violation, certificate = _check_hypothesis(
+    return {"hypothesis_violation": _check_hypothesis(
         np.hstack(_member_diffs(ww, vv)), terms, tol,
-        "blockwise perturbation inequality fails on the grid", seed,
-    )
-    return ({"hypothesis_violation": violation},
-            {"hypothesis_certificate": certificate})
+        "blockwise perturbation inequality fails on the grid")}
 
 
 def check_projection_zero(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFamily,
                           constants: PerturbationConstants, k=None,
-                          tol: float = DEFAULT_TOL,
-                          seed: int = 0) -> TheoremReport:
+                          tol: float = DEFAULT_TOL) -> TheoremReport:
     """Thm 4.4 without a c-term: existence of target bounds.
 
     Hypothesis: sqrt(sum_i ||(w_i P_i - v_i Q_i) f||^2) <= a sqrt<f, S_W f>
@@ -641,7 +662,7 @@ def check_projection_zero(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFamily
         raise AdmissibilityFailed("this hypothesis has no c-term")
     if b >= 1.0:
         raise AdmissibilityFailed(f"b = {b} must be below 1")
-    residuals, notes = _blockwise_hypothesis(ww, vv, constants, None, tol, seed)
+    residuals = _blockwise_hypothesis(ww, vv, constants, None, tol)
     included, escape = range_inclusion(target_k, fusion_synthesis_matrix(vv))
     if not included:
         raise AdmissibilityFailed(
@@ -652,21 +673,20 @@ def check_projection_zero(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFamily
         0.0, upper_w * ((1.0 + a) / (1.0 - b)) ** 2, "predicted"
     )
     actual = k_bounds(vv, target_k)
-    notes |= {
+    notes = {
         "existence_required": True,
         "flagged_upper_constant": True,
         "alternative_upper": math.sqrt(upper_w) * ((1.0 + a) / (1.0 - b)) ** 2,
     }
     return _bracket_report(
-        "thm4.4.1", predicted, actual, residuals, seed, notes,
+        "thm4.4.1", predicted, actual, residuals, notes,
         extra_ok=actual.lower > 0.0,
     )
 
 
 def check_projection_k_star(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFamily,
                             k, constants: PerturbationConstants,
-                            tol: float = DEFAULT_TOL,
-                            seed: int = 0) -> TheoremReport:
+                            tol: float = DEFAULT_TOL) -> TheoremReport:
     """Thm 4.4 with the c-term c ||K* f||: K-relative bounds on both sides.
 
     The hypothesis is that of check_projection_zero plus the c-term.
@@ -678,7 +698,7 @@ def check_projection_k_star(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFami
     a, b, c = constants.a, constants.b, constants.c
     if a >= 1.0 or b >= 1.0:
         raise AdmissibilityFailed(f"a = {a} and b = {b} must both be below 1")
-    residuals, notes = _blockwise_hypothesis(ww, vv, constants, k, tol, seed)
+    residuals = _blockwise_hypothesis(ww, vv, constants, k, tol)
     bounds_w = _require_k_fusion(ww, k, "the source family")
     root_a = math.sqrt(bounds_w.lower)  # inf for the vacuous sentinel
     if c / (1.0 - a) >= root_a:
@@ -691,14 +711,12 @@ def check_projection_k_star(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFami
          / (1.0 - b)) ** 2,
         "predicted",
     )
-    return _bracket_report("thm4.4.2", predicted, k_bounds(vv, k), residuals,
-                           seed, notes)
+    return _bracket_report("thm4.4.2", predicted, k_bounds(vv, k), residuals)
 
 
 def check_projection_plain(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFamily,
                            constants: PerturbationConstants,
-                           tol: float = DEFAULT_TOL,
-                           seed: int = 0) -> TheoremReport:
+                           tol: float = DEFAULT_TOL) -> TheoremReport:
     """Thm 4.4 with the c-term c ||f||: plain fusion bounds on both sides.
 
     The hypothesis is that of check_projection_zero plus the c-term.
@@ -709,8 +727,8 @@ def check_projection_plain(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFamil
     a, b, c = constants.a, constants.b, constants.c
     if b >= 1.0:
         raise AdmissibilityFailed(f"b = {b} must be below 1")
-    residuals, notes = _blockwise_hypothesis(
-        ww, vv, constants, np.eye(ww.ambient_dim, dtype=np.complex128), tol, seed)
+    residuals = _blockwise_hypothesis(
+        ww, vv, constants, np.eye(ww.ambient_dim, dtype=np.complex128), tol)
     bounds_w = fusion_bounds(ww)
     lower_w, upper_w = bounds_w.lower, bounds_w.upper
     if not bounds_w.is_frame():
@@ -724,20 +742,18 @@ def check_projection_plain(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFamil
         (((1.0 + a) * math.sqrt(upper_w) + c) / (1.0 - b)) ** 2,
         "predicted",
     )
-    return _bracket_report("thm4.4.3", predicted, fusion_bounds(vv), residuals,
-                           seed, notes)
+    return _bracket_report("thm4.4.3", predicted, fusion_bounds(vv), residuals)
 
 
 def check_quadratic_perturbation(ww: WeightedSubspaceFamily,
                                  vv: WeightedSubspaceFamily,
                                  k, r: float,
-                                 tol: float = DEFAULT_TOL,
-                                 seed: int = 0) -> TheoremReport:
+                                 tol: float = DEFAULT_TOL) -> TheoremReport:
     """Bound transfer controlled by a quadratic-form deviation budget.
 
     Hypothesis: sum_i |<f, (w_i^2 P_i - v_i^2 Q_i) f>| <= R ||K* f||^2 with
-    0 < R < A, certified by sum_i |D_i| <= R K K* or else sampled (see
-    _quadratic_hypothesis).  Predicted bounds: (A - R, B + R ||K||).  The
+    0 < R < A, decided by the certificate sum_i |D_i| <= R K K* or a
+    witness (see _quadratic_hypothesis).  Predicted bounds: (A - R, B + R ||K||).  The
     upper constant follows the source statement; the Cauchy-Schwarz route
     gives B + R ||K||^2, recorded in the notes.
     """
@@ -757,53 +773,49 @@ def check_quadratic_perturbation(ww: WeightedSubspaceFamily,
         hermitian_part((w * w) * projector(sw) - (v * v) * projector(sv))
         for (sw, w), (sv, v) in zip(ww.members, vv.members)
     ])
-    violation, certificate = _quadratic_hypothesis(
-        forms, hermitian_part(k_mat @ k_mat.conj().T), r, tol, seed)
+    violation = _quadratic_hypothesis(
+        forms, hermitian_part(k_mat @ k_mat.conj().T), r, tol)
     k_norm = operator_norm(k_mat)
     predicted = FrameBounds(
         math.inf if math.isinf(lower_w) else lower_w - r,
         upper_w + r * k_norm,
         "predicted",
     )
-    notes = {"cauchy_schwarz_upper": upper_w + r * k_norm * k_norm,
-             "hypothesis_certificate": certificate}
+    notes = {"cauchy_schwarz_upper": upper_w + r * k_norm * k_norm}
     return _bracket_report("prop4.5", predicted, k_bounds(vv, k_mat),
-                           {"hypothesis_violation": violation}, seed, notes)
+                           {"hypothesis_violation": violation}, notes)
 
 
 def _synthesis_hypothesis(ww: WeightedSubspaceFamily, erased: Sequence[int],
                           k: np.ndarray, constants: PerturbationConstants,
-                          tol: float, seed: int
-                          ) -> tuple[WeightedSubspaceFamily, float, dict, dict]:
-    """The reduced family, its synthesis norm ||T||, and the residuals and
-    notes of the Thm 4.6/4.7 hypothesis
+                          tol: float) -> tuple[WeightedSubspaceFamily, float, dict]:
+    """The reduced family, its synthesis norm ||T||, and the residuals of
+    the Thm 4.6/4.7 hypothesis
 
         ||(K* - T T*) f|| <= a ||K* f|| + b ||T* f|| + c ||f||,
 
     T the synthesis map of the family minus the erased members.  With one
-    nonzero constant it is decided exactly as a PSD pencil test against
-    K K*, T T* or I; with more it is grid-checked.
+    nonzero constant it is decided as a PSD pencil test against K K*, T T*
+    or I; with more by the level-set certificate.
     """
     n = ww.ambient_dim
     _, reduced = _split_members(ww, erased)
     t_norm = operator_norm(fusion_synthesis_matrix(reduced))
     deviation = k.conj().T - fusion_operator(reduced)
-    violation, certificate = _check_hypothesis(
+    violation = _check_hypothesis(
         deviation.conj().T,
         [(constants.a, k), (constants.b, reduced),
          (constants.c, np.eye(n, dtype=np.complex128))],
-        tol, "synthesis deviation inequality fails on the grid", seed,
+        tol, "synthesis deviation inequality fails on the grid",
     )
-    return (reduced, t_norm, {"hypothesis_violation": violation},
-            {"hypothesis_certificate": certificate})
+    return reduced, t_norm, {"hypothesis_violation": violation}
 
 
 def check_synthesis_perturbation(ww: WeightedSubspaceFamily,
                                  erased: Sequence[int],
                                  k,
                                  constants: PerturbationConstants,
-                                 tol: float = DEFAULT_TOL,
-                                 seed: int = 0) -> TheoremReport:
+                                 tol: float = DEFAULT_TOL) -> TheoremReport:
     """Thm 4.6: a reduced family whose Gram synthesis approximates K*.
 
     Hypothesis, T the synthesis map of the family minus the erased
@@ -817,20 +829,18 @@ def check_synthesis_perturbation(ww: WeightedSubspaceFamily,
         raise AdmissibilityFailed("this hypothesis has no c-term")
     if a >= 1.0:
         raise AdmissibilityFailed(f"a = {a} must be below 1")
-    reduced, t_norm, residuals, notes = _synthesis_hypothesis(
-        ww, erased, k, constants, tol, seed)
+    reduced, t_norm, residuals = _synthesis_hypothesis(
+        ww, erased, k, constants, tol)
     ratio = _div(1.0 - a, b + t_norm)
     predicted = FrameBounds(ratio * ratio, fusion_bounds(ww).upper, "predicted")
-    return _bracket_report("thm4.6", predicted, k_bounds(reduced, k), residuals,
-                           seed, notes)
+    return _bracket_report("thm4.6", predicted, k_bounds(reduced, k), residuals)
 
 
 def check_synthesis_closed_range(ww: WeightedSubspaceFamily,
                                  erased: Sequence[int],
                                  k,
                                  constants: PerturbationConstants,
-                                 tol: float = DEFAULT_TOL,
-                                 seed: int = 0) -> TheoremReport:
+                                 tol: float = DEFAULT_TOL) -> TheoremReport:
     """Thm 4.7: the Thm 4.6 hypothesis with a c-term, for K of closed range.
 
     Admissible when a + c ||Kdag|| < 1.  Predicted: bounds on range(K) with
@@ -845,10 +855,10 @@ def check_synthesis_closed_range(ww: WeightedSubspaceFamily,
         raise AdmissibilityFailed(
             f"a + c ||Kdag|| = {drag:.6e} must stay below 1"
         )
-    reduced, t_norm, residuals, notes = _synthesis_hypothesis(
-        ww, erased, k, constants, tol, seed)
+    reduced, t_norm, residuals = _synthesis_hypothesis(
+        ww, erased, k, constants, tol)
     ratio = _div(1.0 - a - c * dag_norm, b + t_norm)
     predicted = FrameBounds(ratio * ratio, fusion_bounds(ww).upper, "predicted")
-    notes |= {"unsquared_lower": ratio, "squared_lower": ratio * ratio}
+    notes = {"unsquared_lower": ratio, "squared_lower": ratio * ratio}
     return _bracket_report("thm4.7", predicted, _compressed_pencil(reduced, k),
-                           residuals, seed, notes)
+                           residuals, notes)

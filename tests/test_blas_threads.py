@@ -46,7 +46,7 @@ def swap(monkeypatch, **fields):
 
 
 def probe_check(monkeypatch, seen, raises=False):
-    def check(inst, tol, seed):
+    def check(inst, tol):
         seen.append(counts())
         if raises:
             raise HypothesisFailed("probe")

@@ -91,3 +91,14 @@ def test_the_guard_sees_an_orphan():
         "b.py": "from .a import _helper\n_helper()\n",
     }
     assert orphans(sources) == ["a.py:_spare", "a.py:_left_behind", "a.py:_Unused"]
+
+
+def test_checkers_import_no_random_streams():
+    # every hypothesis is decided by a certificate or a witness vector,
+    # never on seeded random vectors
+    tree = ast.parse((PACKAGE / "theorems.py").read_text())
+    modules = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    assert not any(m and m.split(".")[-1] == "_rng" for m in modules)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from framekit._rng import make_rng, random_unit_vectors
+from framekit._rng import gaussian_matrix, make_rng
 from framekit.errors import HypothesisFailed, InvalidConfig
 from framekit.frame_core import fusion_operator
 from framekit.instances import (
@@ -30,7 +30,9 @@ from framekit.theorems import PerturbationConstants
 
 
 def fresh_probe(seed, dim, count=2000, complex_scalars=True):
-    return random_unit_vectors(seed, dim, count, complex_scalars)
+    """``count`` seeded random unit vectors in ``dim`` dimensions, one per row."""
+    g = gaussian_matrix(make_rng(seed), count, dim, complex_scalars)
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
 class TestDeterminism:

@@ -274,7 +274,7 @@ PENCILS = [
 
 
 def certify(sw, g, a):
-    _certify_psd_scale(sw, g, a, operator_norm(sw))
+    _certify_psd_scale(sw, g, a, operator_norm(sw), float(np.linalg.eigvalsh(g)[-1]))
 
 
 class TestCertifyPsdScale:
