@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 all checks passed, 1 a bracketing check failed, 2 a
-hypothesis or admissibility precondition was rejected, 3 bad usage, an
+Exit codes: 0 all checks passed, 1 a bracketing check failed or a suite
+negative control was not rejected, 2 a hypothesis or admissibility
+precondition was rejected, 3 bad usage, an
 unreadable input, or an input the numerics refuse (not Hermitian, not
 PSD, an uncertifiable bound, an ill-conditioned split, an intermediate
 that overflowed to a non-finite value).  Suite JSON

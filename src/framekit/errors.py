@@ -35,7 +35,8 @@ class NonFinite(FramekitError, ValueError):
 
 
 class OracleMismatch(FramekitError):
-    """Closed-form value and the independent bisection oracle disagree."""
+    """A closed-form PSD scale fails its two-point certificate: the PSD
+    test does not hold just below it, or still holds just above it."""
 
 
 class HypothesisFailed(FramekitError):

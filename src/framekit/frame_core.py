@@ -60,10 +60,6 @@ class WeightedSubspaceFamily:
         return len(self.members)
 
     @property
-    def subspaces(self) -> tuple[Subspace, ...]:
-        return tuple(s for s, _ in self.members)
-
-    @property
     def weights(self) -> tuple[float, ...]:
         return tuple(w for _, w in self.members)
 

@@ -189,8 +189,6 @@ def gen_operator(rng, dim: int, kind: str, complex_scalars: bool,
     """Operators with a known structural property, conjugation-dressed."""
     if kind == "invertible":
         return random_invertible(rng, dim, complex_scalars)
-    if kind == "unitary":
-        return random_unitary(rng, dim, complex_scalars)
     if kind == "orthogonal_projection":
         d = int(rng.integers(1, dim))
         u = random_unitary(rng, dim, complex_scalars)

@@ -198,11 +198,9 @@ def pinv(m) -> np.ndarray:
     if m.size == 0:
         return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
+    if s[0] <= 0.0:
         return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
     keep = s > RANK_TOL * s[0]
-    if not np.any(keep):
-        return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
     u, s, vh = u[:, keep], s[keep], vh[keep]
     return (vh.conj().T / s) @ u.conj().T
 
@@ -455,43 +453,6 @@ def _certify_psd_scale(sw: np.ndarray, g: np.ndarray, a: float,
         )
 
 
-def _closed_psd_scale(sw_eig: EigenResult, g) -> tuple[float, np.ndarray, float]:
-    """The closed form of max_psd_scale, uncertified, G's Hermitian part
-    and lambda_max(G), from Sw's eigendecomposition ``sw_eig``.
-
-    The values 0 (range(G) escapes range(Sw)) and +inf (G = 0) are exact;
-    a value in between is 1 / lambda_max of G compressed by the inverse
-    square root of Sw on its range, which ``_certify_psd_scale`` confirms.
-    """
-    sw_w = sw_eig.eigenvalues
-    _require_psd(sw_w, "Sw")
-    gh = _checked_hermitian(g, "G")
-    g_w = np.linalg.eigvalsh(gh)
-    _require_psd(g_w, "G")
-    g_max = float(g_w[-1]) if g_w.size else 0.0
-    if g_max <= 0.0:
-        return math.inf, gh, g_max
-    s_max = float(sw_w[-1]) if sw_w.size else 0.0
-    if s_max <= 0.0:
-        return 0.0, gh, g_max
-    keep = sw_w > RANK_TOL * s_max
-    if not np.any(keep):
-        return 0.0, gh, g_max
-    vr = sw_eig.eigenvectors[:, keep]
-    lam = sw_w[keep]
-    if not np.all(keep):
-        # at full rank range(G) <= range(Sw) always holds: the leak is rounding
-        leak = gh - vr @ (vr.conj().T @ gh)
-        if operator_norm(leak) > RANK_TOL * g_max:
-            return 0.0, gh, g_max
-    inv_sqrt = 1.0 / np.sqrt(lam)
-    compressed = (vr.conj().T @ gh @ vr) * inv_sqrt[:, None] * inv_sqrt[None, :]
-    mu = float(np.linalg.eigvalsh(hermitian_part(compressed))[-1])
-    if mu <= 0.0:
-        return math.inf, gh, g_max  # G vanishes on range(Sw); defensive, G=0 handled above
-    return 1.0 / mu, gh, g_max
-
-
 def max_psd_scale(sw, g, *, sw_eig: EigenResult | None = None) -> float:
     """sup { a >= 0 : Sw - a G is PSD } for Hermitian PSD Sw and G.
 
@@ -505,9 +466,30 @@ def max_psd_scale(sw, g, *, sw_eig: EigenResult | None = None) -> float:
     """
     if sw_eig is None:
         sw_eig = hermitian_eig(sw, name="Sw")
-    closed, gh, g_max = _closed_psd_scale(sw_eig, g)
-    if 0.0 < closed < math.inf:
-        sw_w = sw_eig.eigenvalues
-        _certify_psd_scale(hermitian_part(sw), gh, closed,
+    sw_w = sw_eig.eigenvalues
+    _require_psd(sw_w, "Sw")
+    gh = _checked_hermitian(g, "G")
+    g_w = np.linalg.eigvalsh(gh)
+    _require_psd(g_w, "G")
+    g_max = float(g_w[-1]) if g_w.size else 0.0
+    if g_max <= 0.0:
+        return math.inf
+    s_max = float(sw_w[-1]) if sw_w.size else 0.0
+    if s_max <= 0.0:
+        return 0.0
+    keep = sw_w > RANK_TOL * s_max
+    vr = sw_eig.eigenvectors[:, keep]
+    if not np.all(keep):
+        # at full rank range(G) <= range(Sw) always holds: the leak is rounding
+        leak = gh - vr @ (vr.conj().T @ gh)
+        if operator_norm(leak) > RANK_TOL * g_max:
+            return 0.0
+    inv_sqrt = 1.0 / np.sqrt(sw_w[keep])
+    compressed = (vr.conj().T @ gh @ vr) * inv_sqrt[:, None] * inv_sqrt[None, :]
+    mu = float(np.linalg.eigvalsh(hermitian_part(compressed))[-1])
+    # mu <= 0: G vanishes on range(Sw); defensive, G = 0 is handled above
+    scale = 1.0 / mu if mu > 0.0 else math.inf
+    if scale < math.inf:
+        _certify_psd_scale(hermitian_part(sw), gh, scale,
                            max(abs(sw_w[0]), abs(sw_w[-1])), g_max)
-    return closed
+    return scale

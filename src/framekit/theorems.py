@@ -46,7 +46,6 @@ from .numerics import (
     RANK_TOL,
     EigenResult,
     _certify_psd_scale,
-    _closed_psd_scale,
     drazin,
     hermitian_eig,
     hermitian_part,
@@ -126,8 +125,6 @@ class TheoremReport:
 def _slack_margin(x: float, y: float) -> float:
     """y * (1 + slack) - x, with inf <= inf treated as a pass; x <= y within
     the slack exactly when this is >= 0."""
-    if math.isinf(x) and math.isinf(y):
-        return math.inf
     if math.isinf(y):
         return math.inf
     if math.isinf(x):
@@ -368,18 +365,37 @@ def _side_norms(side: Side, cols: np.ndarray) -> np.ndarray:
     return _col_norms(side.conj().T @ cols)
 
 
-def _pencil_tops(left_form: np.ndarray, right_eig: EigenResult) -> list[np.ndarray]:
-    """Candidates for the largest ratio <f, L f> / <f, R f>, L =
-    ``left_form`` and R the form ``right_eig`` decomposes: the top vector
-    of the pencil L g = mu R g compressed to range(R), and the top vector
-    of L on the numerical kernel of R, where L leaks out of that range."""
+def _pencil(left_form: np.ndarray, left_max: float,
+            right_eig: EigenResult) -> tuple[float, list[np.ndarray]]:
+    """The largest ratio <f, L f> / <f, R f>, L = ``left_form`` with top
+    eigenvalue ``left_max`` and R the form ``right_eig`` decomposes, and
+    the witness candidates for it.
+
+    The candidates are the top vector of L on the numerical kernel of R and
+    the top vector of the pencil L g = mu R g compressed to range(R).  The
+    ratio is that pencil's top eigenvalue, clipped at 0; it is 0 when L = 0,
+    and inf when R = 0 or L leaks out of range(R).
+    """
     w, v = right_eig.eigenvalues, right_eig.eigenvectors
     keep = w > RANK_TOL * max(float(w[-1]), 0.0)
-    bases = [v[:, ~keep], v[:, keep] / np.sqrt(w[keep])]
-    return [
-        b @ np.linalg.eigh(hermitian_part(b.conj().T @ left_form @ b))[1][:, -1]
-        for b in bases if b.shape[1]
-    ]
+
+    def top(b):  # top eigenvalue and vector of L compressed by the basis b
+        mu, vecs = np.linalg.eigh(hermitian_part(b.conj().T @ left_form @ b))
+        return float(mu[-1]), b @ vecs[:, -1]
+
+    tops = [top(v[:, ~keep])[1]] if not keep.all() else []
+    if not keep.any():
+        return (0.0 if left_max <= 0.0 else math.inf), tops
+    mu, vec = top(v[:, keep] / np.sqrt(w[keep]))
+    tops.append(vec)
+    if left_max <= 0.0:
+        return 0.0, tops
+    if not keep.all():
+        # at full rank range(L) <= range(R) always holds: the leak is rounding
+        vr = v[:, keep]
+        if operator_norm(left_form - vr @ (vr.conj().T @ left_form)) > RANK_TOL * left_max:
+            return math.inf, tops
+    return max(mu, 0.0), tops
 
 
 def _refute(left: np.ndarray, active: Sequence[tuple[float, Side]],
@@ -396,52 +412,49 @@ def _refute(left: np.ndarray, active: Sequence[tuple[float, Side]],
     raise HypothesisUndecided(_UNDECIDED)
 
 
-def _one_term_hypothesis(left: np.ndarray, left_form: np.ndarray, c: float,
-                         side: Side, tol: float, clause: str) -> float:
-    """Decide ||X* f|| <= c ||Y* f|| with c > 0, L = ``left_form`` = X X*.
+def _one_term_hypothesis(left: np.ndarray, left_form: np.ndarray, left_max: float,
+                         c: float, side: Side, tol: float, clause: str) -> float:
+    """Decide ||X* f|| <= c ||Y* f|| with c > 0, L = ``left_form`` = X X*
+    with top eigenvalue ``left_max``.
 
-    With R = Y Y*, c_opt = 1/sqrt(max_psd_scale(R, L)) is the least
+    With R = Y Y*, c_opt = sqrt of the pencil ratio of (L, R) is the least
     constant that holds (Douglas), so the violation is at most (c_opt - c)
     sqrt(lambda_max(R)): at most ``tol`` accepts and returns that bound.
-    c_opt is certified only when it would accept; a constant that is not
-    accepted goes to the witness whether or not its certificate holds.
+    1/c_opt^2 is certified only when it would accept; a constant that is
+    not accepted goes to the pencil's witness whether or not its
+    certificate holds.
     """
     right = _side_form(side)
     right_eig = (side.fusion_eig if isinstance(side, WeightedSubspaceFamily)
                  else hermitian_eig(right))
-    scale, left_h, left_max = _closed_psd_scale(right_eig, left_form)
-    if scale > 0.0:
-        w = right_eig.eigenvalues
-        bound = (1.0 / math.sqrt(scale) - c) * math.sqrt(max(float(w[-1]), 0.0))
+    ratio, tops = _pencil(left_form, left_max, right_eig)
+    w = right_eig.eigenvalues
+    if ratio < math.inf:
+        bound = (math.sqrt(ratio) - c) * math.sqrt(max(float(w[-1]), 0.0))
         if bound <= tol:
+            scale = 1.0 / ratio if ratio > 0.0 else math.inf
             try:
-                if math.isfinite(scale):
+                if scale < math.inf:
                     # R is a Hermitian part already, as max_psd_scale passes it
-                    _certify_psd_scale(right, left_h, scale,
+                    _certify_psd_scale(right, left_form, scale,
                                        max(abs(w[0]), abs(w[-1])), left_max)
                 return bound
             except OracleMismatch:
                 pass  # no certified constant: only a witness can decide
-    _refute(left, [(c, side)], _pencil_tops(left_form, right_eig), tol, clause)
+    _refute(left, [(c, side)], tops, tol, clause)
 
 
-def _pencil_max(left_form: np.ndarray, form: np.ndarray) -> float:
-    """The largest <f, L f> / <f, M f>, M = ``form``: inf when L leaks out
-    of range(M)."""
-    scale = _closed_psd_scale(hermitian_eig(form), left_form)[0]
-    return math.inf if scale == 0.0 else 1.0 / scale
-
-
-def _two_term_hypothesis(left: np.ndarray, left_form: np.ndarray,
+def _two_term_hypothesis(left: np.ndarray, left_form: np.ndarray, left_max: float,
                          active: Sequence[tuple[float, Side]], tol: float,
                          clause: str) -> float:
     """Decide ||X* f|| <= sum_j c_j ||Y_j* f|| with two or more c_j > 0,
-    L = ``left_form`` = X X*, by a level-set certificate.
+    L = ``left_form`` = X X* with top eigenvalue ``left_max``, by a
+    level-set certificate.
 
     With Q1 = c_1^2 Y_1 Y_1* and the later terms merged into Q2 = sum_j
     c_j^2 Y_j Y_j* (a stronger inequality, as sqrt(sum c_j^2 y_j^2) <=
     sum c_j y_j), Cauchy-Schwarz makes it L <= M(s) = Q1/s + Q2/(1-s) for
-    every s in (0, 1).  gamma, the largest pencil value of (L, M(s)) at s
+    every s in (0, 1).  gamma, the largest pencil ratio of (L, M(s)) at s
     and at the limits s -> 0, 1 (the pencils (L, Q2) on ker Q1 and (L, Q1)
     on ker Q2), raised by _LEVEL_MARGIN, bounds them all when P(s) =
     gamma((1-s) Q1 + s Q2) - s(1-s) L is PSD on (0, 1).  The real roots of
@@ -450,8 +463,8 @@ def _two_term_hypothesis(left: np.ndarray, left_form: np.ndarray,
     (Boyd and Balakrishnan, Systems & Control Letters 15, 1990).  The
     violation is then at most (sqrt(gamma) - 1)(sqrt(lambda_max(Q1)) +
     sqrt(lambda_max(Q2))), accepted at most ``tol``; a negative midpoint
-    moves s there for the next round.  The witness is the pencils' top
-    vectors at the last s and at the two ends.
+    moves s there for the next round.  The witness is the last pencil's
+    candidates and those of (L, Q1) and (L, Q2).
     """
     (c1, side1), rest = active[0], active[1:]
     q1 = c1 * c1 * _side_form(side1)
@@ -462,18 +475,21 @@ def _two_term_hypothesis(left: np.ndarray, left_form: np.ndarray,
         w, v = eig.eigenvalues, eig.eigenvectors
         ker = v[:, w <= RANK_TOL * max(float(w[-1]), 0.0)]
         if ker.shape[1]:
-            ends.append(_pencil_max(hermitian_part(ker.conj().T @ left_form @ ker),
-                                    hermitian_part(ker.conj().T @ other @ ker)))
+            left_ker = hermitian_part(ker.conj().T @ left_form @ ker)
+            ends.append(_pencil(
+                left_ker, float(np.linalg.eigvalsh(left_ker)[-1]),
+                hermitian_eig(hermitian_part(ker.conj().T @ other @ ker)))[0])
 
-    def form_at(s):  # M(s); an s rounded onto an end of (0, 1) moves inside
+    def pencil_at(s):  # (L, M(s)); an s rounded onto an end of (0, 1) moves inside
         s = min(max(s, 2.0**-53), 1.0 - 2.0**-53)
-        return q1 / s + q2 / (1.0 - s)
+        return _pencil(left_form, left_max, hermitian_eig(q1 / s + q2 / (1.0 - s)))
 
     # start where L's top vector f meets the Cauchy-Schwarz equality
     y1, y2 = np.sqrt(np.maximum(quadratic_forms(
         np.stack([q1, q2]), np.linalg.eigh(left_form)[1][:, -1:])[:, 0], 0.0))
     s = float(y1 / (y1 + y2)) if y1 + y2 > 0.0 else 0.5
-    gamma = max([_pencil_max(left_form, form_at(s)), *ends])
+    gamma, tops = pencil_at(s)
+    gamma = max([gamma, *ends])
     eye = np.eye(len(left_form))
     for _ in range(_LEVEL_ROUNDS):
         if math.isinf(gamma):
@@ -500,9 +516,10 @@ def _two_term_hypothesis(left: np.ndarray, left_form: np.ndarray,
                 return bound
             break
         s = float(mids[np.argmin(lowest)])
-        gamma = max(gamma, _pencil_max(left_form, form_at(s)))
-    candidates = [top for form_eig in (hermitian_eig(form_at(s)), *eigs)
-                  for top in _pencil_tops(left_form, form_eig)]
+        ratio, tops = pencil_at(s)
+        gamma = max(gamma, ratio)
+    candidates = tops + [top for eig in eigs
+                         for top in _pencil(left_form, left_max, eig)[1]]
     _refute(left, active, candidates, tol, clause)
 
 
@@ -518,14 +535,15 @@ def _check_hypothesis(left: np.ndarray, terms: Sequence[tuple[float, Side]],
     """
     active = [(c, side) for c, side in terms if c != 0.0]
     left_form = _side_form(left)
+    left_max = float(np.linalg.eigvalsh(left_form)[-1])
     if not active:
-        top = math.sqrt(max(float(np.linalg.eigvalsh(left_form)[-1]), 0.0))
+        top = math.sqrt(max(left_max, 0.0))
         if top > tol:
             raise HypothesisFailed(clause, top)
         return top
     if len(active) == 1:
-        return _one_term_hypothesis(left, left_form, *active[0], tol, clause)
-    return _two_term_hypothesis(left, left_form, active, tol, clause)
+        return _one_term_hypothesis(left, left_form, left_max, *active[0], tol, clause)
+    return _two_term_hypothesis(left, left_form, left_max, active, tol, clause)
 
 
 def check_operator_perturbation(family: WeightedSubspaceFamily, k1, k2,
@@ -561,7 +579,6 @@ def check_operator_perturbation(family: WeightedSubspaceFamily, k1, k2,
         math.inf if math.isinf(lower1) else lower1 * factor, upper, "predicted"
     )
     parts: tuple[TheoremReport, ...] = ()
-    notes = {"k2_is_identity": bool(operator_norm(k2 - np.eye(n)) <= 1e-12)}
     if a < 1.0 and lower2 > 0.0:
         reverse_factor = ((1.0 - a) / (1.0 + b)) ** 2
         predicted_rev = FrameBounds(
@@ -572,9 +589,8 @@ def check_operator_perturbation(family: WeightedSubspaceFamily, k1, k2,
         parts = (
             _bracket_report("lem4.1:reverse", predicted_rev, source, {}),
         )
-        notes["reverse_checked"] = True
     return _bracket_report("lem4.1", predicted, actual,
-                           {"hypothesis_violation": violation}, notes, parts=parts)
+                           {"hypothesis_violation": violation}, parts=parts)
 
 
 def _member_diffs(ww: WeightedSubspaceFamily,
@@ -673,11 +689,7 @@ def check_projection_zero(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFamily
         0.0, upper_w * ((1.0 + a) / (1.0 - b)) ** 2, "predicted"
     )
     actual = k_bounds(vv, target_k)
-    notes = {
-        "existence_required": True,
-        "flagged_upper_constant": True,
-        "alternative_upper": math.sqrt(upper_w) * ((1.0 + a) / (1.0 - b)) ** 2,
-    }
+    notes = {"alternative_upper": math.sqrt(upper_w) * ((1.0 + a) / (1.0 - b)) ** 2}
     return _bracket_report(
         "thm4.4.1", predicted, actual, residuals, notes,
         extra_ok=actual.lower > 0.0,
@@ -859,6 +871,6 @@ def check_synthesis_closed_range(ww: WeightedSubspaceFamily,
         ww, erased, k, constants, tol)
     ratio = _div(1.0 - a - c * dag_norm, b + t_norm)
     predicted = FrameBounds(ratio * ratio, fusion_bounds(ww).upper, "predicted")
-    notes = {"unsquared_lower": ratio, "squared_lower": ratio * ratio}
+    notes = {"unsquared_lower": ratio}
     return _bracket_report("thm4.7", predicted, _compressed_pencil(reduced, k),
                            residuals, notes)

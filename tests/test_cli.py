@@ -126,6 +126,26 @@ class TestCheck:
         assert "status=hypothesis_failed" in out
         assert "detail=HypothesisFailed" in out
 
+    def test_bounds_out_of_order_exit_one(self, tmp_path, capsys):
+        # prop4.5 with the families swapped, K doubled and R quartered: the
+        # paper's upper constant B + R||K|| falls below the actual bound,
+        # which the Cauchy-Schwarz form B + R||K||^2 in the notes covers
+        inst = build_instance("prop4.5", GenSpec(0, 3, "weight_shift"))
+        inst = dataclasses.replace(
+            inst, family=inst.family_v, family_v=inst.family,
+            operators={"K": 2.0 * inst.operators["K"]},
+            quadratic_bound=inst.quadratic_bound / 4.0)
+        path, out = tmp_path / "inst.json", tmp_path / "report.json"
+        path.write_text(dumps_instance(inst))
+        assert main(["check", str(path), "--out", str(out)]) == 1
+        assert "status=fail" in capsys.readouterr().out
+        (report,) = json.loads(out.read_text())
+        assert report["passed"] is False
+        assert report["lower_margin"] >= 0.0
+        assert report["upper_margin"] == pytest.approx(-0.355, abs=1e-3)
+        assert (report["predicted"]["upper"] < report["actual"]["upper"]
+                <= report["notes"]["cauchy_schwarz_upper"])
+
     def test_undecided_hypothesis_exits_two(self, tmp_path, capsys):
         # three nonzero constants: true here, but past what the merged
         # level-set certificate proves, and no witness refutes it
@@ -539,6 +559,20 @@ class TestSuite:
         ]
         assert len(rejected) == 10
         assert all(row["status"] == "pass" for row in rejected)
+
+    def test_unrejected_negative_control_exits_one(self, tmp_path):
+        # at tol 0.6 the thm3.1 spoiler passes its idempotency test, and
+        # its bounds are in order: exit 1 comes from the missing rejection
+        code, out = self.run_suite(tmp_path, "suite.csv", (
+            "--spoilers", "--tol", "0.6", "--format", "csv"))
+        assert code == 1
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert {row["status"] for row in rows[:-1]} == {"pass", "fail"}
+        (row,) = [row for row in rows if row["scenario"] == "non_idempotent"]
+        assert row["status"] == "fail"
+        assert float(row["lower_margin"]) >= 0.0
+        assert float(row["upper_margin"]) >= 0.0
+        assert row["detail"] == "expected a hypothesis rejection, none was raised"
 
     def test_csv_total_row_carries_wall_time(self, tmp_path):
         code, out = self.run_suite(tmp_path, "suite.csv", ("--format", "csv"))

@@ -102,3 +102,35 @@ def test_checkers_import_no_random_streams():
     modules |= {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.Import) for alias in node.names}
     assert not any(m and m.split(".")[-1] == "_rng" for m in modules)
+
+
+def private_imports(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each private name that a module of ``sources``
+    imports from the package, by a relative or a ``framekit`` import."""
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.level or (node.module or "").split(".")[0] == "framekit")):
+                found += [f"{module}:{alias.name}" for alias in node.names
+                          if alias.name.startswith("_")
+                          and not alias.name.startswith("__")]
+    return found
+
+
+def test_only_the_certificate_is_imported_privately():
+    # a hypothesis decides and refutes from its own pencil; a second
+    # closed form reached through a private import would duplicate it
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert private_imports(sources) == ["theorems.py:_certify_psd_scale"]
+
+
+def test_the_guard_sees_a_private_import():
+    sources = {
+        "a.py": "from .b import _closed, shared\nfrom numpy import _private\n"
+                "from __future__ import annotations\n",
+        "b.py": "from . import _rng\nfrom framekit.a import _helper\n"
+                "def f():\n    from .a import _late\n",
+    }
+    assert private_imports(sources) == [
+        "a.py:_closed", "b.py:_rng", "b.py:_helper", "b.py:_late"]

@@ -216,8 +216,7 @@ class TestOperatorPerturbation:
         assert reverse.theorem_id == "lem4.1:reverse"
         assert reverse.predicted.lower == pytest.approx(1.0, rel=1e-12)
         assert reverse.actual.lower == pytest.approx(1.0, rel=1e-12)
-        assert report.notes["reverse_checked"] is True
-        assert report.notes["k2_is_identity"] is False
+        assert report.notes == {}
 
     def test_scale_sweep_brackets(self):
         family = random_spanning_family(21, 4)
@@ -272,7 +271,7 @@ class TestProjectionPerturbation:
         assert report.predicted.lower == 0.0
         # K defaults to S_V itself; a positive lower bound must exist
         assert report.actual.lower > 0.0
-        assert report.notes["flagged_upper_constant"] is True
+        assert set(report.notes) == {"alternative_upper"}
         assert report.notes["alternative_upper"] == pytest.approx(
             math.sqrt(4.0), rel=1e-12
         )
@@ -497,8 +496,7 @@ class TestSynthesisPerturbation:
         assert report.theorem_id == "thm4.7"
         assert report.predicted.lower == pytest.approx(4.0 / 9.0, rel=1e-10)
         assert report.actual.lower == pytest.approx(4.0 / 9.0, rel=1e-10)
-        assert report.notes["unsquared_lower"] == pytest.approx(2.0 / 3.0, rel=1e-10)
-        assert report.notes["squared_lower"] == pytest.approx(4.0 / 9.0, rel=1e-10)
+        assert report.notes == {"unsquared_lower": pytest.approx(2.0 / 3.0, rel=1e-10)}
 
     def test_plain_variant_scaled_operator_brackets(self):
         ww = random_spanning_family(55, 4)
@@ -648,12 +646,21 @@ class TestGridEigensolves:
         assert report.residuals["hypothesis_violation"] <= 1e-9
         assert solves == [(20, 20)]
 
-    def test_one_term_pair_check_makes_no_eigh_call(self, monkeypatch):
+    def test_one_term_pair_check_makes_at_most_four_eigensolves(self, monkeypatch):
+        # lambda_max(L), one eigh of the pencil on range(S_W) for the ratio
+        # and its witness, and the certificate's two min-eigenvalue tests
         inst = build_instance("thm4.4.3", GenSpec(7, 10, "rotation"))
-        inst.family.fusion_eig, inst.family_v.fusion_eig  # fill the caches
+        check_instance(inst)  # fill the family caches
         calls = self.count_eighs(monkeypatch)
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(m, *args, **kwargs):
+            calls.append(np.shape(m))
+            return eigvalsh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         assert check_instance(inst).passed
-        assert calls == []
+        assert len(calls) <= 4
 
 
 def scaled_constants(inst, factor):
@@ -1002,15 +1009,14 @@ class TestRejectionWork:
         calls = self.count_certificates(monkeypatch, (framekit.theorems,),
                                         raises=True)
         reached = []
-        for name in ("_pencil_tops", "_refute"):
-            step = getattr(framekit.theorems, name)
+        refute = framekit.theorems._refute
 
-            def spied(*args, _name=name, _step=step):
-                reached.append(_name)
-                return _step(*args)
+        def spied(*args):
+            reached.append(len(args[2]))  # the pencil's witness candidates
+            return refute(*args)
 
-            monkeypatch.setattr(framekit.theorems, name, spied)
+        monkeypatch.setattr(framekit.theorems, "_refute", spied)
         with pytest.raises(HypothesisUndecided):
             check_instance(build_instance("lem4.1", GenSpec(1001, 8, "additive")))
         assert len(calls) == 1
-        assert reached == ["_pencil_tops", "_refute"]
+        assert reached == [1]
