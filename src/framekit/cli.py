@@ -305,7 +305,7 @@ def _cmd_suite(args) -> int:
                 "include_spoilers": spoilers,
                 "counts": counts,
                 "results": [
-                    {key: row.get(key) for key in _CSV_COLUMNS[:-2]}
+                    {key: row.get(key) for key in _CSV_COLUMNS[:-1]}
                     for row in rows
                 ],
             }

@@ -84,16 +84,6 @@ class WeightedSubspaceFamily:
         eig.eigenvectors.setflags(write=False)
         return eig
 
-    @functools.cached_property
-    def fusion_spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues of the fusion operator, computed once and
-        read-only.  Kept on eigvalsh, apart from fusion_eig: eigh's
-        eigenvalues differ from it in the last bits, and the optimal fusion
-        bounds are read from these."""
-        w = np.linalg.eigvalsh(self.fusion_operator)
-        w.setflags(write=False)
-        return w
-
 
 @dataclass(frozen=True)
 class FrameBounds:
@@ -130,8 +120,9 @@ def fusion_operator(family: WeightedSubspaceFamily) -> np.ndarray:
 
 
 def fusion_bounds(family: WeightedSubspaceFamily) -> FrameBounds:
-    """Optimal fusion frame bounds of the family, from its cached spectrum."""
-    w = family.fusion_spectrum
+    """Optimal fusion frame bounds of the family, from the eigenvalues of
+    its cached fusion_eig."""
+    w = family.fusion_eig.eigenvalues
     lo, hi = max(float(w[0]), 0.0), max(float(w[-1]), 0.0)
     assert lo <= hi * (1.0 + 1e-12)
     return FrameBounds(lo, hi, "optimal")

@@ -22,7 +22,6 @@ from .frame_core import (
     WeightedSubspaceFamily,
     fusion_bounds,
     fusion_operator,
-    fusion_synthesis_matrix,
 )
 from .kfusion import k_lower_bound
 from .numerics import Subspace, one_blas_thread, operator_norm, pinv, projector
@@ -517,7 +516,7 @@ def _reduced_synthesis(rng, dim: int, cx: bool):
         dim, tuple(m for i, m in enumerate(fam.members) if i not in set(erased))
     )
     s_red = fusion_operator(reduced)
-    t_norm = operator_norm(fusion_synthesis_matrix(reduced))
+    t_norm = math.sqrt(fusion_bounds(reduced).upper)
     eps = float(_log_uniform(rng, 0.1, 0.8))
     return fam, erased, s_red, t_norm, eps
 

@@ -55,6 +55,7 @@ __all__ = [
     "douglas_check",
     "max_psd_scale",
     "one_blas_thread",
+    "pencil",
     "psd_scale_bisection",
 ]
 
@@ -453,13 +454,45 @@ def _certify_psd_scale(sw: np.ndarray, g: np.ndarray, a: float,
         )
 
 
+def pencil(left_form: np.ndarray, left_max: float,
+           right_eig: EigenResult) -> tuple[float, list[np.ndarray]]:
+    """The largest ratio <f, L f> / <f, R f>, L = ``left_form`` with top
+    eigenvalue ``left_max`` and R the form ``right_eig`` decomposes, and
+    the witness candidates for it.
+
+    The candidates are the top vector of L on the numerical kernel of R and
+    the top vector of the pencil L g = mu R g compressed to range(R).  The
+    ratio is that pencil's top eigenvalue, clipped at 0; it is 0 when L = 0,
+    and inf when R = 0 or L leaks out of range(R).
+    """
+    w, v = right_eig.eigenvalues, right_eig.eigenvectors
+    keep = w > RANK_TOL * max(float(w[-1]), 0.0)
+
+    def top(b):  # top eigenvalue and vector of L compressed by the basis b
+        mu, vecs = np.linalg.eigh(hermitian_part(b.conj().T @ left_form @ b))
+        return float(mu[-1]), b @ vecs[:, -1]
+
+    tops = [top(v[:, ~keep])[1]] if not keep.all() else []
+    if not keep.any():
+        return (0.0 if left_max <= 0.0 else math.inf), tops
+    mu, vec = top(v[:, keep] / np.sqrt(w[keep]))
+    tops.append(vec)
+    if left_max <= 0.0:
+        return 0.0, tops
+    if not keep.all():
+        # at full rank range(L) <= range(R) always holds: the leak is rounding
+        vr = v[:, keep]
+        if operator_norm(left_form - vr @ (vr.conj().T @ left_form)) > RANK_TOL * left_max:
+            return math.inf, tops
+    return max(mu, 0.0), tops
+
+
 def max_psd_scale(sw, g, *, sw_eig: EigenResult | None = None) -> float:
     """sup { a >= 0 : Sw - a G is PSD } for Hermitian PSD Sw and G.
 
-    Computed in closed form as 1 / lambda_max of G compressed by the inverse
-    square root of Sw on its range, then certified by two min-eigenvalue
-    tests; a closed form off the PSD threshold by more than 1e-8 (relative)
-    raises OracleMismatch.  Returns 0 when range(G) is not
+    Computed as 1 / the pencil ratio of (G, Sw), then certified by two
+    min-eigenvalue tests; a scale off the PSD threshold by more than 1e-8
+    (relative) raises OracleMismatch.  Returns 0 when range(G) is not
     inside range(Sw), and +inf when G = 0 (the constraint is vacuous).
     ``sw_eig``, when given, must be ``hermitian_eig(sw)``, such as a
     family's cached ``fusion_eig``; it saves recomputing it.
@@ -474,22 +507,9 @@ def max_psd_scale(sw, g, *, sw_eig: EigenResult | None = None) -> float:
     g_max = float(g_w[-1]) if g_w.size else 0.0
     if g_max <= 0.0:
         return math.inf
-    s_max = float(sw_w[-1]) if sw_w.size else 0.0
-    if s_max <= 0.0:
-        return 0.0
-    keep = sw_w > RANK_TOL * s_max
-    vr = sw_eig.eigenvectors[:, keep]
-    if not np.all(keep):
-        # at full rank range(G) <= range(Sw) always holds: the leak is rounding
-        leak = gh - vr @ (vr.conj().T @ gh)
-        if operator_norm(leak) > RANK_TOL * g_max:
-            return 0.0
-    inv_sqrt = 1.0 / np.sqrt(sw_w[keep])
-    compressed = (vr.conj().T @ gh @ vr) * inv_sqrt[:, None] * inv_sqrt[None, :]
-    mu = float(np.linalg.eigvalsh(hermitian_part(compressed))[-1])
-    # mu <= 0: G vanishes on range(Sw); defensive, G = 0 is handled above
-    scale = 1.0 / mu if mu > 0.0 else math.inf
-    if scale < math.inf:
+    ratio = pencil(gh, g_max, sw_eig)[0]
+    scale = 1.0 / ratio if ratio > 0.0 else math.inf
+    if 0.0 < scale < math.inf:
         _certify_psd_scale(hermitian_part(sw), gh, scale,
                            max(abs(sw_w[0]), abs(sw_w[-1])), g_max)
     return scale

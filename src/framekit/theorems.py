@@ -44,13 +44,13 @@ from .frame_core import (
 from .kfusion import k_bounds, k_operator
 from .numerics import (
     RANK_TOL,
-    EigenResult,
     _certify_psd_scale,
     drazin,
     hermitian_eig,
     hermitian_part,
     max_psd_scale,
     operator_norm,
+    pencil,
     pinv,
     projector,
     quadratic_forms,
@@ -312,8 +312,9 @@ def _compressed_pencil(reduced: WeightedSubspaceFamily,
     gram = hermitian_part(k @ k.conj().T)
     s_c = hermitian_part(qb.conj().T @ s_red @ qb)
     g_c = hermitian_part(qb.conj().T @ gram @ qb)
-    return FrameBounds(max_psd_scale(s_c, g_c),
-                       max(float(np.linalg.eigvalsh(s_c)[-1]), 0.0), "optimal")
+    s_eig = hermitian_eig(s_c)
+    return FrameBounds(max_psd_scale(s_c, g_c, sw_eig=s_eig),
+                       max(float(s_eig.eigenvalues[-1]), 0.0), "optimal")
 
 
 def check_erasure(family: WeightedSubspaceFamily, k, erased: Sequence[int],
@@ -365,39 +366,6 @@ def _side_norms(side: Side, cols: np.ndarray) -> np.ndarray:
     return _col_norms(side.conj().T @ cols)
 
 
-def _pencil(left_form: np.ndarray, left_max: float,
-            right_eig: EigenResult) -> tuple[float, list[np.ndarray]]:
-    """The largest ratio <f, L f> / <f, R f>, L = ``left_form`` with top
-    eigenvalue ``left_max`` and R the form ``right_eig`` decomposes, and
-    the witness candidates for it.
-
-    The candidates are the top vector of L on the numerical kernel of R and
-    the top vector of the pencil L g = mu R g compressed to range(R).  The
-    ratio is that pencil's top eigenvalue, clipped at 0; it is 0 when L = 0,
-    and inf when R = 0 or L leaks out of range(R).
-    """
-    w, v = right_eig.eigenvalues, right_eig.eigenvectors
-    keep = w > RANK_TOL * max(float(w[-1]), 0.0)
-
-    def top(b):  # top eigenvalue and vector of L compressed by the basis b
-        mu, vecs = np.linalg.eigh(hermitian_part(b.conj().T @ left_form @ b))
-        return float(mu[-1]), b @ vecs[:, -1]
-
-    tops = [top(v[:, ~keep])[1]] if not keep.all() else []
-    if not keep.any():
-        return (0.0 if left_max <= 0.0 else math.inf), tops
-    mu, vec = top(v[:, keep] / np.sqrt(w[keep]))
-    tops.append(vec)
-    if left_max <= 0.0:
-        return 0.0, tops
-    if not keep.all():
-        # at full rank range(L) <= range(R) always holds: the leak is rounding
-        vr = v[:, keep]
-        if operator_norm(left_form - vr @ (vr.conj().T @ left_form)) > RANK_TOL * left_max:
-            return math.inf, tops
-    return max(mu, 0.0), tops
-
-
 def _refute(left: np.ndarray, active: Sequence[tuple[float, Side]],
             candidates: list[np.ndarray], tol: float, clause: str) -> NoReturn:
     """Raise HypothesisFailed with ``clause`` when a candidate, normalized,
@@ -427,7 +395,7 @@ def _one_term_hypothesis(left: np.ndarray, left_form: np.ndarray, left_max: floa
     right = _side_form(side)
     right_eig = (side.fusion_eig if isinstance(side, WeightedSubspaceFamily)
                  else hermitian_eig(right))
-    ratio, tops = _pencil(left_form, left_max, right_eig)
+    ratio, tops = pencil(left_form, left_max, right_eig)
     w = right_eig.eigenvalues
     if ratio < math.inf:
         bound = (math.sqrt(ratio) - c) * math.sqrt(max(float(w[-1]), 0.0))
@@ -444,12 +412,11 @@ def _one_term_hypothesis(left: np.ndarray, left_form: np.ndarray, left_max: floa
     _refute(left, [(c, side)], tops, tol, clause)
 
 
-def _two_term_hypothesis(left: np.ndarray, left_form: np.ndarray, left_max: float,
+def _two_term_hypothesis(left: np.ndarray, left_form: np.ndarray,
                          active: Sequence[tuple[float, Side]], tol: float,
                          clause: str) -> float:
     """Decide ||X* f|| <= sum_j c_j ||Y_j* f|| with two or more c_j > 0,
-    L = ``left_form`` = X X* with top eigenvalue ``left_max``, by a
-    level-set certificate.
+    L = ``left_form`` = X X*, by a level-set certificate.
 
     With Q1 = c_1^2 Y_1 Y_1* and the later terms merged into Q2 = sum_j
     c_j^2 Y_j Y_j* (a stronger inequality, as sqrt(sum c_j^2 y_j^2) <=
@@ -467,6 +434,8 @@ def _two_term_hypothesis(left: np.ndarray, left_form: np.ndarray, left_max: floa
     candidates and those of (L, Q1) and (L, Q2).
     """
     (c1, side1), rest = active[0], active[1:]
+    left_w, left_v = np.linalg.eigh(left_form)
+    left_max = float(left_w[-1])
     q1 = c1 * c1 * _side_form(side1)
     q2 = sum(c * c * _side_form(side) for c, side in rest)
     eigs = (hermitian_eig(q1), hermitian_eig(q2))
@@ -476,17 +445,17 @@ def _two_term_hypothesis(left: np.ndarray, left_form: np.ndarray, left_max: floa
         ker = v[:, w <= RANK_TOL * max(float(w[-1]), 0.0)]
         if ker.shape[1]:
             left_ker = hermitian_part(ker.conj().T @ left_form @ ker)
-            ends.append(_pencil(
+            ends.append(pencil(
                 left_ker, float(np.linalg.eigvalsh(left_ker)[-1]),
                 hermitian_eig(hermitian_part(ker.conj().T @ other @ ker)))[0])
 
     def pencil_at(s):  # (L, M(s)); an s rounded onto an end of (0, 1) moves inside
         s = min(max(s, 2.0**-53), 1.0 - 2.0**-53)
-        return _pencil(left_form, left_max, hermitian_eig(q1 / s + q2 / (1.0 - s)))
+        return pencil(left_form, left_max, hermitian_eig(q1 / s + q2 / (1.0 - s)))
 
     # start where L's top vector f meets the Cauchy-Schwarz equality
     y1, y2 = np.sqrt(np.maximum(quadratic_forms(
-        np.stack([q1, q2]), np.linalg.eigh(left_form)[1][:, -1:])[:, 0], 0.0))
+        np.stack([q1, q2]), left_v[:, -1:])[:, 0], 0.0))
     s = float(y1 / (y1 + y2)) if y1 + y2 > 0.0 else 0.5
     gamma, tops = pencil_at(s)
     gamma = max([gamma, *ends])
@@ -519,7 +488,7 @@ def _two_term_hypothesis(left: np.ndarray, left_form: np.ndarray, left_max: floa
         ratio, tops = pencil_at(s)
         gamma = max(gamma, ratio)
     candidates = tops + [top for eig in eigs
-                         for top in _pencil(left_form, left_max, eig)[1]]
+                         for top in pencil(left_form, left_max, eig)[1]]
     _refute(left, active, candidates, tol, clause)
 
 
@@ -535,15 +504,15 @@ def _check_hypothesis(left: np.ndarray, terms: Sequence[tuple[float, Side]],
     """
     active = [(c, side) for c, side in terms if c != 0.0]
     left_form = _side_form(left)
+    if len(active) > 1:
+        return _two_term_hypothesis(left, left_form, active, tol, clause)
     left_max = float(np.linalg.eigvalsh(left_form)[-1])
     if not active:
         top = math.sqrt(max(left_max, 0.0))
         if top > tol:
             raise HypothesisFailed(clause, top)
         return top
-    if len(active) == 1:
-        return _one_term_hypothesis(left, left_form, left_max, *active[0], tol, clause)
-    return _two_term_hypothesis(left, left_form, left_max, active, tol, clause)
+    return _one_term_hypothesis(left, left_form, left_max, *active[0], tol, clause)
 
 
 def check_operator_perturbation(family: WeightedSubspaceFamily, k1, k2,
@@ -568,7 +537,7 @@ def check_operator_perturbation(family: WeightedSubspaceFamily, k1, k2,
         raise AdmissibilityFailed(f"b = {b} must be below 1")
     violation = _check_hypothesis(
         k1 - k2, [(a, k1), (b, k2)], tol,
-        "perturbation inequality fails on the grid",
+        "perturbation inequality fails at a witness vector",
     )
     source = _require_k_fusion(family, k1, "the family")
     lower1, upper = source.lower, source.upper
@@ -614,7 +583,7 @@ def _quadratic_hypothesis(forms: np.ndarray, gram: np.ndarray, r: float,
     most m + 1 times.  With every D_i sign-definite the first f attains
     the violation, so only indefinite D_i can leave it undecided.
     """
-    clause = "quadratic deviation inequality fails on the grid"
+    clause = "quadratic deviation inequality fails at a witness vector"
     w, v = np.linalg.eigh(forms)
     abs_sum = ((v * np.abs(w)[:, None, :]) @ v.conj().transpose(0, 2, 1)).sum(axis=0)
     gap, vectors = np.linalg.eigh(hermitian_part(r * gram - abs_sum))
@@ -658,7 +627,7 @@ def _blockwise_hypothesis(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFamily
     # the d_i are Hermitian: ||d_i f|| = ||d_i* f||
     return {"hypothesis_violation": _check_hypothesis(
         np.hstack(_member_diffs(ww, vv)), terms, tol,
-        "blockwise perturbation inequality fails on the grid")}
+        "blockwise perturbation inequality fails at a witness vector")}
 
 
 def check_projection_zero(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFamily,
@@ -812,13 +781,13 @@ def _synthesis_hypothesis(ww: WeightedSubspaceFamily, erased: Sequence[int],
     """
     n = ww.ambient_dim
     _, reduced = _split_members(ww, erased)
-    t_norm = operator_norm(fusion_synthesis_matrix(reduced))
+    t_norm = math.sqrt(fusion_bounds(reduced).upper)
     deviation = k.conj().T - fusion_operator(reduced)
     violation = _check_hypothesis(
         deviation.conj().T,
         [(constants.a, k), (constants.b, reduced),
          (constants.c, np.eye(n, dtype=np.complex128))],
-        tol, "synthesis deviation inequality fails on the grid",
+        tol, "synthesis deviation inequality fails at a witness vector",
     )
     return reduced, t_norm, {"hypothesis_violation": violation}
 

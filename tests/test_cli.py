@@ -560,6 +560,19 @@ class TestSuite:
         assert len(rejected) == 10
         assert all(row["status"] == "pass" for row in rejected)
 
+    def test_spoiler_rows_carry_the_rejected_clause(self, tmp_path):
+        _, out = self.run_suite(tmp_path, "with_spoilers.json", ("--spoilers",))
+        rows = json.loads(out.read_text())["results"]
+        assert all(list(row) == list(framekit.cli._CSV_COLUMNS[:-1]) for row in rows)
+        details = {(row["theorem"], row["scenario"]): row["detail"] for row in rows
+                   if row["expect"] == "hypothesis_failed"}
+        assert len(details) == 10 and all(details.values())
+        assert details["lem4.1", "false_constants"] == (
+            "HypothesisFailed: perturbation inequality fails at a witness vector")
+        assert details["thm4.4.1", "inadmissible_b"] == (
+            "AdmissibilityFailed: b = 1.5 must be below 1")
+        assert all(row["detail"] is None for row in rows if row["expect"] == "pass")
+
     def test_unrejected_negative_control_exits_one(self, tmp_path):
         # at tol 0.6 the thm3.1 spoiler passes its idempotency test, and
         # its bounds are in order: exit 1 comes from the missing rejection

@@ -98,19 +98,21 @@ class TestFusionOperator:
             op += 1.0
 
     def test_spectrum_computed_once_and_read_only(self, monkeypatch):
+        # the bounds read fusion_eig's eigenvalues: one eigh, no eigvalsh
         family = random_family(5, 4, 3, complex_scalars=True)
         calls = []
-        eigvalsh = np.linalg.eigvalsh
+        eigh = np.linalg.eigh
+        for name in ("eigh", "eigvalsh"):
+            def counted(m, *args, _name=name, _solve=getattr(np.linalg, name),
+                        **kwargs):
+                calls.append(_name)
+                return _solve(m, *args, **kwargs)
 
-        def counted(m):
-            calls.append(m)
-            return eigvalsh(m)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+            monkeypatch.setattr(np.linalg, name, counted)
         first, second = fusion_bounds(family), fusion_bounds(family)
-        assert len(calls) == 1 and first == second
-        w = family.fusion_spectrum
-        assert np.array_equal(w, eigvalsh(fusion_operator(family)))
+        assert calls == ["eigh"] and first == second
+        w = family.fusion_eig.eigenvalues
+        assert np.array_equal(w, eigh(fusion_operator(family))[0])
         assert (first.lower, first.upper) == (max(w[0], 0.0), w[-1])
         with pytest.raises(ValueError):
             w[0] = 0.0

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from framekit._rng import gaussian_matrix, make_rng
-from framekit.frame_core import WeightedSubspaceFamily, fusion_bounds, fusion_operator
+from framekit.frame_core import (
+    FrameBounds,
+    WeightedSubspaceFamily,
+    fusion_bounds,
+    fusion_operator,
+)
 from framekit.errors import DimensionMismatch
 from framekit.kfusion import k_bounds, k_lower_bound
 from framekit.numerics import Subspace, douglas_check, operator_norm
@@ -107,17 +112,18 @@ class TestDecide:
 
 
 def count_fusion_eighs(monkeypatch, family):
-    """Count np.linalg.eigh calls made on the family's fusion operator."""
+    """Record "eigh" or "eigvalsh" for each np.linalg call of that name
+    made on the family's fusion operator."""
     sw = fusion_operator(family)
     calls = []
-    eigh = np.linalg.eigh
+    for name in ("eigh", "eigvalsh"):
+        def counted(m, *args, _name=name, _solve=getattr(np.linalg, name),
+                    **kwargs):
+            if np.array_equal(m, sw):
+                calls.append(_name)
+            return _solve(m, *args, **kwargs)
 
-    def counted(m, *args, **kwargs):
-        if np.array_equal(m, sw):
-            calls.append(m)
-        return eigh(m, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
 
@@ -129,6 +135,15 @@ class TestFusionEigReuse:
         for _ in range(4):
             k_bounds(family, gaussian_matrix(rng, 6, 6, True))
         assert len(calls) == 1
+
+    def test_bounds_read_one_eigh_of_the_fusion_operator(self, monkeypatch):
+        family = random_family(8, 6, 5, complex_scalars=True)
+        k = gaussian_matrix(make_rng(9), 6, 6, True)
+        calls = count_fusion_eighs(monkeypatch, family)
+        bounds = fusion_bounds(family)
+        lower = k_lower_bound(family, k)
+        assert k_bounds(family, k) == FrameBounds(lower, bounds.upper, "optimal")
+        assert calls == ["eigh"]
 
     def test_drazin_check_eigendecomposes_the_family_once(self, monkeypatch):
         from framekit.instances import GenSpec, build_instance, check_instance

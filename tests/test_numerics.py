@@ -202,6 +202,9 @@ class TestMaxPsdScale:
     def test_zero_form_is_unbounded(self):
         assert math.isinf(max_psd_scale(np.eye(3), np.zeros((3, 3))))
 
+    def test_empty_forms_are_unbounded(self):
+        assert math.isinf(max_psd_scale(np.zeros((0, 0)), np.zeros((0, 0))))
+
     def test_range_leak_gives_zero(self):
         sw = np.diag([1.0, 0.0])
         g = np.diag([0.0, 1.0])
@@ -307,19 +310,20 @@ class TestCertifyPsdScale:
     def test_max_psd_scale_raises_on_a_wrong_closed_form(self, monkeypatch):
         sw, g = psd_pencil(21, 6, True, g_rank=2)
         g = hermitian_part(g * max_psd_scale(sw, g))  # optimum 1
-        eigvalsh = np.linalg.eigvalsh
+        eigh = np.linalg.eigh
         calls = []
 
-        def skewed(m):
-            w = eigvalsh(m)
+        def skewed(m, *args, **kwargs):
+            w, v = eigh(m, *args, **kwargs)
             calls.append(m.shape)
-            # the first eigvalsh call reads G's spectrum, the second
-            # yields the closed form's mu
-            return w * (1.0 + 1e-6) if len(calls) == 2 else w
+            # the first eigh call decomposes Sw, the second the pencil
+            # compressed to range(Sw), whose top eigenvalue is the ratio
+            return (w * (1.0 + 1e-6) if len(calls) == 2 else w), v
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", skewed)
+        monkeypatch.setattr(np.linalg, "eigh", skewed)
         with pytest.raises(OracleMismatch):
             max_psd_scale(sw, g)
+        assert calls == [(6, 6), (6, 6)]
 
     def test_eigensolve_count_is_constant(self, monkeypatch):
         sw, g = psd_pencil(5, 16, True, g_rank=4)

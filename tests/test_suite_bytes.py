@@ -24,14 +24,14 @@ from framekit.serialize import dumps_instance
 
 RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
 DIGESTS = {
-    1: "186eead3ab678e647ea9781042eda2596b68ebff625d12257c8bbb749466ea88",
-    2: "f7d02dbdbcaee3611b3c89d81c4015daf0c1fd6665996d8c578de85a027065f1",
-    3: "13b3069bac024fc7e791b22d3fea5fef54445502fbb1c97c4f6d2cc4d166f28a",
+    1: "eb6cc6267db0f7a050d585b3a8145d5b91976c48fb16d3bcf8b5661bbd7999a7",
+    2: "96f034d7bbccf25d383e078acaa9a4cb693c35ca1ef0a481ebe1920740146a2c",
+    3: "b3906069133f33befe5744ab8406159e3aaa1aad76c2905c08cbeeead836dc5e",
 }
 SPOILER_DIGESTS = {
-    1: "485e1c55917414c66e379b232a85c46e6f03a5b690ebe439e13d2ef6036a4108",
-    2: "ff71ce762b813adc29d77f4766f682b3cf9c40004b68c4f5e0dac5fd27370f10",
-    3: "5a8737f58cdbdfacc0beee0cce61c2f58543c9a88ac56686b2b6bf55d1338c80",
+    1: "6ad98f02aa49a8d12a7a7ab9ffa0d7db8048936b340e2460377da0b3a7d1c728",
+    2: "4b1e000f4a3e524d29d66942efabcbcd91f195c793283600c2c0f2e76da7569a",
+    3: "467f5d11628d01e2aaf92994687221052cce3f7680fa0228ea680617f7ed9c73",
 }
 
 # every generator scenario per theorem, spoiler last; a fixed list, so the
@@ -53,7 +53,7 @@ FILE_SCENARIOS = {
 }
 FILE_SEEDS = (101, 202)
 FILE_DIMS = (2, 5, 16, 32)
-FILE_DIGEST = "a23b2bb5c9311e871c5bbb799d407a5712711c22cfb0d083be2677afdbb04ba5"
+FILE_DIGEST = "cc08a417167f1a69fe87f088f8cb051ed7ac4ac26c01ef87750de524f2e1982d"
 
 # each theorem's spoiler at two seeds, one per scalar kind, and three dims,
 # then lem4.1 near misses at two dims
@@ -61,7 +61,7 @@ REJECTION_SEEDS = ((101, "real"), (202, "complex"))
 REJECTION_DIMS = (2, 5, 16)
 NEAR_MISS_SEEDS = range(1000, 1010)
 NEAR_MISS_DIMS = (8, 16)
-REJECTION_DIGEST = "a3e7175e1fe51962bb8baccdb5ab883c7021d31919f32d58cab7efa478daf8f5"
+REJECTION_DIGEST = "5d36d8c3b40c1076432e7e50939f453bf7cfaf1ec7e257deb8fd57f16e801b5e"
 
 recorded_versions_only = pytest.mark.skipif(
     {"numpy": np.__version__, "scipy": scipy.__version__} != RECORDED_WITH,

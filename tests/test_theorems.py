@@ -78,6 +78,25 @@ def random_spanning_family(seed, ambient, extra=2, complex_scalars=False):
     return WeightedSubspaceFamily(ambient, tuple(members))
 
 
+def record_eigensolves(monkeypatch):
+    """Patch np.linalg.eigh and eigvalsh to record (name, matrix) per call."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(m, *args, _name=name, _solve=getattr(np.linalg, name),
+                    **kwargs):
+            calls.append((_name, np.array(m)))
+            return _solve(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def solves_of(calls, form):
+    """The names of the recorded calls made on ``form``."""
+    return [name for name, m in calls
+            if m.shape == form.shape and np.array_equal(m, form)]
+
+
 class TestImageUnderK:
     def fixture(self):
         return weighted_axes([2.0, 3.0]), np.diag([1.0, 0.0])
@@ -182,6 +201,21 @@ class TestErasure:
         assert report.actual.upper == pytest.approx(2.0, rel=1e-12)
         assert report.residuals["erased_mass"] == pytest.approx(0.25)
         assert report.notes["erased"] == [4]
+
+    def test_compressed_operator_is_decomposed_once(self, monkeypatch):
+        # one hermitian_eig of the compressed S serves both bounds
+        pencils = []
+        scale = framekit.theorems.max_psd_scale
+
+        def spied(sw, g, **kwargs):
+            pencils.append(sw)
+            return scale(sw, g, **kwargs)
+
+        monkeypatch.setattr(framekit.theorems, "max_psd_scale", spied)
+        solved = record_eigensolves(monkeypatch)
+        assert check_erasure(*self.fixture(), erased=[4]).passed
+        (s_c,) = pencils
+        assert solves_of(solved, s_c) == ["eigh"]
 
     def test_overloaded_erasure_rejected(self):
         # Parseval axes: erasing any member wipes out the whole margin
@@ -440,25 +474,20 @@ class TestQuadraticPerturbation:
         else:
             assert type(err.value) is HypothesisFailed
             assert err.value.clause == ("quadratic deviation inequality fails "
-                                        "on the grid")
+                                        "at a witness vector")
             assert err.value.residual == pytest.approx(
                 (math.sqrt(2) - factor) * delta, rel=1e-9)
 
-    def test_pass_makes_two_eigh_calls_and_draws_nothing(self, monkeypatch):
-        # the stacked member forms and R K K* - sum |D_i|; the G of the two
-        # k_lower_bound calls is read by eigvalsh, not eigh
+    def test_pass_makes_ten_eigensolves_and_draws_nothing(self, monkeypatch):
+        # eigh: the stacked member forms, R K K* - sum |D_i|, and one pencil
+        # per optimal lower bound; eigvalsh: G and the two certificate
+        # tests per bound.  The family spectra come from the filled caches.
         inst = build_instance("prop4.5", GenSpec(7, 10, "rotation"))
         inst.family.fusion_eig, inst.family_v.fusion_eig  # fill the caches
-        eighs = []
-        eigh = np.linalg.eigh
-
-        def counted_eigh(m, *args, **kwargs):
-            eighs.append(np.ndim(m))
-            return eigh(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        calls = record_eigensolves(monkeypatch)
         assert check_instance(inst).passed
-        assert sorted(eighs) == [2, 3]
+        assert sorted((name, m.ndim) for name, m in calls) == (
+            [("eigh", 2)] * 3 + [("eigh", 3)] + [("eigvalsh", 2)] * 6)
 
 
 class TestSynthesisPerturbation:
@@ -646,6 +675,22 @@ class TestGridEigensolves:
         assert report.residuals["hypothesis_violation"] <= 1e-9
         assert solves == [(20, 20)]
 
+    def test_two_term_check_decomposes_the_left_form_once(self, monkeypatch):
+        # lambda_max(L) and the level set's start vector share one eigh
+        inst = build_instance("thm4.7", GenSpec(7, 10, "shifted_synthesis"))
+        forms = []
+        two_term = framekit.theorems._two_term_hypothesis
+
+        def spied(left, left_form, *args, **kwargs):
+            forms.append(left_form)
+            return two_term(left, left_form, *args, **kwargs)
+
+        monkeypatch.setattr(framekit.theorems, "_two_term_hypothesis", spied)
+        solved = record_eigensolves(monkeypatch)
+        assert check_instance(inst).passed
+        (left_form,) = forms
+        assert solves_of(solved, left_form) == ["eigh"]
+
     def test_one_term_pair_check_makes_at_most_four_eigensolves(self, monkeypatch):
         # lambda_max(L), one eigh of the pencil on range(S_W) for the ratio
         # and its witness, and the certificate's two min-eigenvalue tests
@@ -682,7 +727,7 @@ class TestExactHypothesis:
             with pytest.raises(HypothesisFailed) as err:
                 check_instance(scaled_constants(inst, factor))
             assert err.value.residual > 1e-9
-            assert err.value.clause == "perturbation inequality fails on the grid"
+            assert err.value.clause == "perturbation inequality fails at a witness vector"
 
     @pytest.mark.parametrize("theorem, scenario", [
         ("lem4.1", "scale_down"),
@@ -915,7 +960,7 @@ class TestTwoTermHypothesis:
             check_instance(inst)
         assert type(err.value) is HypothesisFailed
         assert err.value.residual > 1e-3
-        assert err.value.clause == "perturbation inequality fails on the grid"
+        assert err.value.clause == "perturbation inequality fails at a witness vector"
 
 
 class TestScaleCovariance:
