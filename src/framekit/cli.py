@@ -36,7 +36,7 @@ from .instances import (
     default_suite_entries,
     spoiler_suite_entries,
 )
-from .serialize import dumps, dumps_instance, loads_instance, report_to_obj
+from .serialize import SUITE_FORMAT, dumps, dumps_instance, loads_instance, report_to_obj
 from .theorems import TheoremReport
 
 __all__ = ["main"]
@@ -210,12 +210,30 @@ def _exit_code(rows) -> int:
     return 0
 
 
+def _read_text(path: str) -> str:
+    """The file's text; InvalidConfig when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _valid_tol(tol, source: str) -> float:
+    """``tol`` as a float; InvalidConfig unless it is a number in
+    (0, max double], which refuses bools, 0, negatives, inf and NaN."""
+    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+            or not 0 < tol <= sys.float_info.max):
+        raise InvalidConfig(f"{source}: tol must be a finite positive number")
+    return float(tol)
+
+
 def _cmd_check(args) -> int:
+    tol = _valid_tol(args.tol, "--tol")
     rows = []
     reports: list[dict] = []
     for name in args.files:
-        inst = loads_instance(Path(name).read_text())
-        row, report = _evaluate(inst, args.tol, fold_expectation=False)
+        inst = loads_instance(_read_text(name))
+        row, report = _evaluate(inst, tol, fold_expectation=False)
         row["file"] = name
         if report is not None:
             reports.append(report_to_obj(report))
@@ -238,7 +256,7 @@ def _load_suite_config(path: str | None) -> dict:
     import json
 
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
@@ -251,10 +269,7 @@ def _load_suite_config(path: str | None) -> dict:
         if key in obj and (not isinstance(obj[key], int)
                            or isinstance(obj[key], bool)):
             raise InvalidConfig(f"{path}: {key} must be an integer")
-    tol = obj.get("tol", 1e-9)
-    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
-            or not 0 < tol <= sys.float_info.max):
-        raise InvalidConfig(f"{path}: tol must be a finite positive number")
+    _valid_tol(obj.get("tol", 1e-9), path)
     if not isinstance(obj.get("include_spoilers", False), bool):
         raise InvalidConfig(f"{path}: include_spoilers must be true or false")
     return obj
@@ -268,7 +283,8 @@ def _cmd_suite(args) -> int:
     base_seed = args.seed if args.seed is not None else int(
         config.get("base_seed", 20260814)
     )
-    tol = args.tol if args.tol is not None else float(config.get("tol", 1e-9))
+    tol = (_valid_tol(args.tol, "--tol") if args.tol is not None
+           else float(config.get("tol", 1e-9)))
     spoilers = args.spoilers or bool(config.get("include_spoilers", False))
     if n_per < 1:
         raise InvalidConfig("n_per_theorem must be at least 1")
@@ -298,7 +314,7 @@ def _cmd_suite(args) -> int:
         if args.format == "json":
             # no timing field: the report must be byte-identical across runs
             obj = {
-                "format": "framekit/suite-v1",
+                "format": SUITE_FORMAT,
                 "base_seed": base_seed,
                 "n_per_theorem": n_per,
                 "tol": tol,

@@ -25,10 +25,6 @@ class DimensionMismatch(FramekitError):
     pass
 
 
-class NotAFusionFrame(FramekitError):
-    pass
-
-
 class NonFinite(FramekitError, ValueError):
     """A matrix or vector holds an infinite or NaN entry, such as a product
     of finite inputs that overflowed."""

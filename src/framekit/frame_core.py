@@ -2,9 +2,9 @@
 
 A weighted subspace family pairs closed subspaces with positive weights.
 Its synthesis matrix T stacks the weighted member bases; the fusion
-operator S_W = T T* = sum_i v_i^2 P_{W_i}, and its extreme eigenvalues are
-the optimal frame bounds.  Analysis coefficients T* f are in those basis
-coordinates, and S_W^{-1} T undoes the analysis of a fusion frame.
+operator S_W = T T* = sum_i v_i^2 P_{W_i}, cached on the family as
+``fusion_operator`` with its eigendecomposition ``fusion_eig``, and its
+extreme eigenvalues are the optimal frame bounds.
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAFusionFrame
+from .errors import DimensionMismatch
 from .numerics import (
     RANK_TOL,
     EigenResult,
     Subspace,
-    as_vector,
     hermitian_eig,
     hermitian_part,
 )
@@ -28,11 +27,8 @@ from .numerics import (
 __all__ = [
     "WeightedSubspaceFamily",
     "FrameBounds",
-    "fusion_operator",
     "fusion_bounds",
     "fusion_synthesis_matrix",
-    "fusion_analysis",
-    "reconstruct",
 ]
 
 
@@ -113,12 +109,6 @@ class FrameBounds:
         return self.upper > 0.0 and self.lower > RANK_TOL * self.upper
 
 
-def fusion_operator(family: WeightedSubspaceFamily) -> np.ndarray:
-    """sum_i v_i^2 P_{W_i} as a read-only Hermitian PSD matrix, cached on
-    the family."""
-    return family.fusion_operator
-
-
 def fusion_bounds(family: WeightedSubspaceFamily) -> FrameBounds:
     """Optimal fusion frame bounds of the family, from the eigenvalues of
     its cached fusion_eig."""
@@ -131,30 +121,7 @@ def fusion_bounds(family: WeightedSubspaceFamily) -> FrameBounds:
 def fusion_synthesis_matrix(family: WeightedSubspaceFamily) -> np.ndarray:
     """Matrix of the synthesis map: weighted bases stacked column-wise.
 
-    Satisfies T T* = fusion_operator(family); its columns are v_i times the
+    Satisfies T T* = family.fusion_operator; its columns are v_i times the
     orthonormal basis columns of W_i, in member order.
     """
     return np.hstack([w * s.basis for s, w in family.members])
-
-
-def fusion_analysis(family: WeightedSubspaceFamily, f) -> np.ndarray:
-    """Coefficients T* f of the analysis map, member by member in basis
-    coordinates: block i is v_i times the coordinates of P_{W_i} f."""
-    return fusion_synthesis_matrix(family).conj().T @ as_vector(f, family.ambient_dim)
-
-
-def reconstruct(family: WeightedSubspaceFamily, coeffs) -> np.ndarray:
-    """Invert the analysis map: f = S_W^{-1} T c for c = T* f.
-
-    Requires the family to be a fusion frame (positive relative lower bound);
-    raises NotAFusionFrame otherwise.
-    """
-    bounds = fusion_bounds(family)
-    if not bounds.is_frame():
-        raise NotAFusionFrame(
-            f"fusion bounds ({bounds.lower:.3e}, {bounds.upper:.3e}) are degenerate"
-        )
-    t = fusion_synthesis_matrix(family)
-    return np.linalg.solve(fusion_operator(family), t @ as_vector(coeffs, t.shape[1]))
-
-

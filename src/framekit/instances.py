@@ -18,11 +18,7 @@ import numpy as np
 
 from ._rng import child_seed, gaussian_matrix, make_rng
 from .errors import InvalidConfig
-from .frame_core import (
-    WeightedSubspaceFamily,
-    fusion_bounds,
-    fusion_operator,
-)
+from .frame_core import WeightedSubspaceFamily, fusion_bounds
 from .kfusion import k_lower_bound
 from .numerics import Subspace, one_blas_thread, operator_norm, pinv, projector
 from .theorems import (
@@ -188,10 +184,6 @@ def gen_operator(rng, dim: int, kind: str, complex_scalars: bool,
     """Operators with a known structural property, conjugation-dressed."""
     if kind == "invertible":
         return random_invertible(rng, dim, complex_scalars)
-    if kind == "orthogonal_projection":
-        d = int(rng.integers(1, dim))
-        u = random_unitary(rng, dim, complex_scalars)
-        return u[:, :d] @ u[:, :d].conj().T
     if kind == "drazin_index":
         if not (1 <= index < dim):
             raise InvalidConfig(f"drazin index {index} needs 1 <= index < dim")
@@ -434,7 +426,7 @@ def _gen_projection_zero(spec: GenSpec, rng) -> dict:
     constants = pair.constants
     if spec.scenario == "weight_shift_with_k":
         mix = random_invertible(rng, spec.dim, cx)
-        operators["K"] = fusion_operator(pair.target) @ mix
+        operators["K"] = pair.target.fusion_operator @ mix
     elif spec.scenario == "inadmissible_b":
         constants = PerturbationConstants(pair.constants.a, 1.5, 0.0)
     return _pair_fields(pair, cx, operators=operators, constants=constants)
@@ -515,7 +507,7 @@ def _reduced_synthesis(rng, dim: int, cx: bool):
     reduced = WeightedSubspaceFamily(
         dim, tuple(m for i, m in enumerate(fam.members) if i not in set(erased))
     )
-    s_red = fusion_operator(reduced)
+    s_red = reduced.fusion_operator
     t_norm = math.sqrt(fusion_bounds(reduced).upper)
     eps = float(_log_uniform(rng, 0.1, 0.8))
     return fam, erased, s_red, t_norm, eps

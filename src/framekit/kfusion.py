@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .frame_core import FrameBounds, WeightedSubspaceFamily, fusion_bounds, fusion_operator
+from .frame_core import FrameBounds, WeightedSubspaceFamily, fusion_bounds
 from .numerics import as_matrix, hermitian_part, max_psd_scale
 
 __all__ = [
@@ -41,7 +41,7 @@ def k_lower_bound(family: WeightedSubspaceFamily, k) -> float:
     """
     k = k_operator(k, family.ambient_dim)
     gram = hermitian_part(k @ k.conj().T)
-    return max_psd_scale(fusion_operator(family), gram,
+    return max_psd_scale(family.fusion_operator, gram,
                          sw_eig=family.fusion_eig)
 
 

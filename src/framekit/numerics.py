@@ -32,17 +32,12 @@ from .errors import (
 RANK_TOL = 1e-10
 # a min-eigenvalue PSD test passes down to -_PSD_SLACK * ||Sw||
 _PSD_SLACK = 1e-13
-# psd_scale_bisection reports inf once doubling the scale still passes
-# after this many doublings
-_MAX_DOUBLINGS = 200
 
 __all__ = [
     "RANK_TOL",
     "EigenResult",
     "Subspace",
-    "DouglasReport",
     "as_matrix",
-    "as_vector",
     "hermitian_part",
     "operator_norm",
     "quadratic_forms",
@@ -52,11 +47,9 @@ __all__ = [
     "range_basis",
     "projector",
     "range_inclusion",
-    "douglas_check",
     "max_psd_scale",
     "one_blas_thread",
     "pencil",
-    "psd_scale_bisection",
 ]
 
 
@@ -121,15 +114,6 @@ def as_matrix(a) -> np.ndarray:
     if m.size and not np.all(np.isfinite(m)):
         raise NonFinite("matrix has non-finite entries")
     return m
-
-
-def as_vector(a, dim: int | None = None) -> np.ndarray:
-    v = np.asarray(a, dtype=np.complex128).reshape(-1)
-    if v.size and not np.all(np.isfinite(v)):
-        raise NonFinite("vector has non-finite entries")
-    if dim is not None and v.size != dim:
-        raise DimensionMismatch(f"expected length {dim}, got {v.size}")
-    return v
 
 
 def hermitian_part(m) -> np.ndarray:
@@ -304,12 +288,6 @@ class Subspace:
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, np.zeros((ambient_dim, 0), dtype=np.complex128))
 
-    @classmethod
-    def from_span(cls, vectors) -> "Subspace":
-        """Orthonormalize a spanning set (columns) into a Subspace."""
-        return range_basis(as_matrix(vectors))
-
-
 def range_basis(m, rank_tol: float = RANK_TOL, *,
                 scale: float | None = None) -> Subspace:
     """Orthonormal basis of the numerical column space of ``m``.
@@ -336,21 +314,6 @@ def projector(w: Subspace) -> np.ndarray:
     return w.basis @ w.basis.conj().T
 
 
-@dataclass(frozen=True)
-class DouglasReport:
-    """Outcome of the range-inclusion / majorization / factorization test.
-
-    When ``range_included`` is false, ``alpha`` and ``factor`` are None.
-    ``alpha`` is the least constant with S S* <= alpha T T*; ``factor`` is
-    the L with S = T L obtained from the pseudoinverse.
-    """
-
-    range_included: bool
-    alpha: float | None
-    factor: np.ndarray | None
-    residual: float
-
-
 def range_inclusion(s, t) -> tuple[bool, float]:
     """Whether range(S) <= range(T), to 1e-10 max(1, ||S||), and the
     residual ||S - T T^+ S|| that decides it."""
@@ -364,68 +327,11 @@ def range_inclusion(s, t) -> tuple[bool, float]:
     return residual <= 1e-10 * max(1.0, operator_norm(s)), residual
 
 
-def douglas_check(s, t) -> DouglasReport:
-    """Test range(S) <= range(T) by range_inclusion, and produce the
-    equivalent certificates."""
-    included, residual = range_inclusion(s, t)
-    if not included:
-        return DouglasReport(False, None, None, residual)
-    s = as_matrix(s)
-    t = as_matrix(t)
-    factor = pinv(t) @ s
-    ss = hermitian_part(s @ s.conj().T)
-    tt = hermitian_part(t @ t.conj().T)
-    best = max_psd_scale(tt, ss)
-    if math.isinf(best):
-        alpha = 0.0  # S = 0: every alpha works, take the infimum
-    elif best == 0.0:
-        alpha = math.inf  # unreachable once inclusion holds; defensive
-    else:
-        alpha = 1.0 / best
-    return DouglasReport(True, alpha, factor, residual)
-
-
 def _require_psd(w: np.ndarray, name: str) -> None:
     """Raise NotPSD unless the ascending spectrum ``w`` is PSD within 1e-10."""
     bound = max(abs(w[0]), abs(w[-1])) if w.size else 0.0
     if w.size and w[0] < -1e-10 * bound:
         raise NotPSD(f"{name} has eigenvalue {w[0]:.3e}")
-
-
-def psd_scale_bisection(sw, g) -> float:
-    """Largest a with Sw - a G PSD, found purely by min-eigenvalue tests.
-
-    Independent of the closed form in max_psd_scale; serves as its oracle.
-    Returns inf when no finite a fails the test (G numerically zero).
-    """
-    sw = hermitian_part(sw)
-    g = hermitian_part(g)
-    if operator_norm(g) == 0.0:
-        return math.inf
-    slack = _PSD_SLACK * operator_norm(sw)
-
-    def ok(a: float) -> bool:
-        return float(np.linalg.eigvalsh(sw - a * g)[0]) >= -slack
-
-    if not ok(0.0):
-        return 0.0
-    hi = 1.0
-    doublings = 0
-    while ok(hi):
-        hi *= 2.0
-        doublings += 1
-        if doublings > _MAX_DOUBLINGS:
-            return math.inf
-    lo = 0.0
-    for _ in range(300):
-        if hi - lo <= 1e-13 * hi:
-            break
-        mid = (lo + hi) / 2.0
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def _certify_psd_scale(sw: np.ndarray, g: np.ndarray, a: float,
@@ -434,13 +340,12 @@ def _certify_psd_scale(sw: np.ndarray, g: np.ndarray, a: float,
     PSD, to 1e-8 relative, for Hermitian Sw (norm ``sw_norm``) and PSD G
     (top eigenvalue ``g_max``).
 
-    The test ok(t) := lambda_min(Sw - t G) >= -slack, with the slack of
-    psd_scale_bisection, is monotone in t because G is PSD.  So ok(a - d)
-    together with not ok(a + d), d = 1e-8 max(a, ||Sw|| / lambda_max(G)),
-    pins the threshold to within d of ``a``: the question the bisection
-    answers, in two eigensolves.  Both d and the slack scale with the
-    forms.  The lower test is skipped when a - d <= 0, since the
-    threshold is never below 0.
+    The test ok(t) := lambda_min(Sw - t G) >= -_PSD_SLACK ||Sw|| is
+    monotone in t because G is PSD.  So ok(a - d) together with
+    not ok(a + d), d = 1e-8 max(a, ||Sw|| / lambda_max(G)), pins the
+    threshold to within d of ``a`` in two eigensolves.  Both d and the
+    slack scale with the forms.  The lower test is skipped when
+    a - d <= 0, since the threshold is never below 0.
     """
     slack = _PSD_SLACK * sw_norm
     delta = 1e-8 * max(a, sw_norm / g_max)

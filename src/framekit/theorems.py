@@ -38,7 +38,6 @@ from .frame_core import (
     FrameBounds,
     WeightedSubspaceFamily,
     fusion_bounds,
-    fusion_operator,
     fusion_synthesis_matrix,
 )
 from .kfusion import k_bounds, k_operator
@@ -308,7 +307,7 @@ def _compressed_pencil(reduced: WeightedSubspaceFamily,
     if q.dim == 0:
         return FrameBounds(math.inf, 0.0, "optimal")
     qb = q.basis
-    s_red = fusion_operator(reduced)
+    s_red = reduced.fusion_operator
     gram = hermitian_part(k @ k.conj().T)
     s_c = hermitian_part(qb.conj().T @ s_red @ qb)
     g_c = hermitian_part(qb.conj().T @ gram @ qb)
@@ -354,7 +353,7 @@ Side = np.ndarray | WeightedSubspaceFamily
 def _side_form(side: Side) -> np.ndarray:
     """The PSD form X X* of a side: S_W for a family."""
     if isinstance(side, WeightedSubspaceFamily):
-        return fusion_operator(side)
+        return side.fusion_operator
     return hermitian_part(side @ side.conj().T)
 
 
@@ -641,7 +640,7 @@ def check_projection_zero(ww: WeightedSubspaceFamily, vv: WeightedSubspaceFamily
     target is a K-fusion frame with upper bound B ((1+a)/(1-b))^2.
     """
     _paired(ww, vv)
-    target_k = fusion_operator(vv) if k is None else k_operator(k, ww.ambient_dim)
+    target_k = vv.fusion_operator if k is None else k_operator(k, ww.ambient_dim)
     a, b = constants.a, constants.b
     if constants.c != 0.0:
         raise AdmissibilityFailed("this hypothesis has no c-term")
@@ -782,7 +781,7 @@ def _synthesis_hypothesis(ww: WeightedSubspaceFamily, erased: Sequence[int],
     n = ww.ambient_dim
     _, reduced = _split_members(ww, erased)
     t_norm = math.sqrt(fusion_bounds(reduced).upper)
-    deviation = k.conj().T - fusion_operator(reduced)
+    deviation = k.conj().T - reduced.fusion_operator
     violation = _check_hypothesis(
         deviation.conj().T,
         [(constants.a, k), (constants.b, reduced),

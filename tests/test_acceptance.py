@@ -14,12 +14,7 @@ import numpy as np
 from framekit._rng import child_seed, gaussian_matrix, make_rng
 from framekit.cli import main
 from framekit.errors import HypothesisFailed
-from framekit.frame_core import (
-    WeightedSubspaceFamily,
-    fusion_analysis,
-    fusion_operator,
-    reconstruct,
-)
+from framekit.frame_core import WeightedSubspaceFamily
 from framekit.instances import (
     REGISTRY,
     GenSpec,
@@ -31,14 +26,11 @@ from framekit.instances import (
 )
 from framekit.kfusion import k_lower_bound
 from framekit.numerics import (
-    Subspace,
-    douglas_check,
     drazin,
     max_psd_scale,
     operator_norm,
     pinv,
     projector,
-    psd_scale_bisection,
     range_basis,
 )
 from framekit.serialize import dumps_instance
@@ -47,6 +39,13 @@ from framekit.theorems import (
     check_operator_perturbation,
     check_projection_plain,
     check_synthesis_perturbation,
+)
+from oracles import (
+    douglas_check,
+    from_span,
+    fusion_analysis,
+    psd_scale_bisection,
+    reconstruct,
 )
 
 
@@ -237,7 +236,7 @@ def test_criterion_5_bound_oracle_agreement(capsys):
         family = spanning_family(rng, dim, trial % 2 == 0)
         k = gaussian_matrix(rng, dim, dim, trial % 2 == 0)
         closed = k_lower_bound(family, k)
-        oracle = psd_scale_bisection(fusion_operator(family), k @ k.conj().T)
+        oracle = psd_scale_bisection(family.fusion_operator, k @ k.conj().T)
         if not agree(closed, oracle):
             failures += 1
     zero_failures = 0
@@ -246,7 +245,7 @@ def test_criterion_5_bound_oracle_agreement(capsys):
         dim = int(rng.integers(2, 9))
         family = spanning_family(rng, dim, trial % 2 == 0)
         closed = k_lower_bound(family, np.zeros((dim, dim)))
-        oracle = psd_scale_bisection(fusion_operator(family), np.zeros((dim, dim)))
+        oracle = psd_scale_bisection(family.fusion_operator, np.zeros((dim, dim)))
         if not (math.isinf(closed) and math.isinf(oracle)):
             zero_failures += 1
     leak_failures = 0
@@ -254,12 +253,12 @@ def test_criterion_5_bound_oracle_agreement(capsys):
         rng = make_rng(child_seed(503, trial))
         dim = int(rng.integers(2, 9))
         # family spans everything except the last coordinate axis
-        member = Subspace.from_span(np.eye(dim)[:, : dim - 1])
+        member = from_span(np.eye(dim)[:, : dim - 1])
         family = WeightedSubspaceFamily(
             dim, ((member, float(rng.uniform(0.5, 2.0))),)
         )
         closed = k_lower_bound(family, np.eye(dim))
-        oracle = psd_scale_bisection(fusion_operator(family), np.eye(dim))
+        oracle = psd_scale_bisection(family.fusion_operator, np.eye(dim))
         if closed != 0.0 or not agree(closed, oracle):
             leak_failures += 1
     ok = failures == 0 and zero_failures == 0 and leak_failures == 0
@@ -298,7 +297,7 @@ def test_criterion_7_exactness_pinpoints(capsys):
     def axis(n, j):
         e = np.zeros((n, 1))
         e[j, 0] = 1.0
-        return Subspace.from_span(e)
+        return from_span(e)
 
     deviations = []
 

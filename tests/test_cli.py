@@ -37,6 +37,9 @@ from framekit.serialize import dumps_instance, instance_to_obj, loads_instance
 from framekit.theorems import PerturbationConstants
 
 
+NOT_UTF8 = b"\xff\xfe\x00bad"
+
+
 def write_instance(tmp_path, theorem, scenario, seed=3, dim=4, name="inst.json"):
     inst = build_instance(theorem, GenSpec(seed, dim, scenario))
     path = tmp_path / name
@@ -188,6 +191,13 @@ class TestCheck:
 
     def test_unreadable_file_exits_three(self, tmp_path):
         assert main(["check", str(tmp_path / "missing.json")]) == 3
+
+    def test_non_utf8_file_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "bin.json"
+        path.write_bytes(NOT_UTF8)
+        assert main(["check", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "not UTF-8" in err
 
     def test_malformed_json_exits_three(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -518,6 +528,20 @@ class TestClausePrecedence:
             assert f": {expected}\n" in capsys.readouterr().out
 
 
+BAD_CONFIG_VALUES = [
+    ("threads", "x"), ("threads", 1.5), ("threads", True),
+    ("n_per_theorem", "5"), ("n_per_theorem", False),
+    ("base_seed", 7.0), ("base_seed", True),
+    ("tol", [1]), ("tol", "1e-9"), ("tol", True), ("tol", 0),
+    ("tol", -1e-9), ("tol", float("inf")), ("tol", float("nan")),
+    ("tol", 10**400),
+    ("include_spoilers", "yes"), ("include_spoilers", 1),
+]
+# the bad tol values a command line can spell: 0, -1e-9, inf, nan, 10**400
+BAD_TOLS = [value for key, value in BAD_CONFIG_VALUES if key == "tol"
+            and isinstance(value, (int, float)) and not isinstance(value, bool)]
+
+
 class TestSuite:
     def run_suite(self, tmp_path, name, extra=()):
         out = tmp_path / name
@@ -626,15 +650,7 @@ class TestSuite:
         assert report["include_spoilers"] is True
         assert len(report["results"]) == 20
 
-    @pytest.mark.parametrize("key, value", [
-        ("threads", "x"), ("threads", 1.5), ("threads", True),
-        ("n_per_theorem", "5"), ("n_per_theorem", False),
-        ("base_seed", 7.0), ("base_seed", True),
-        ("tol", [1]), ("tol", "1e-9"), ("tol", True), ("tol", 0),
-        ("tol", -1e-9), ("tol", float("inf")), ("tol", float("nan")),
-        ("tol", 10**400),
-        ("include_spoilers", "yes"), ("include_spoilers", 1),
-    ])
+    @pytest.mark.parametrize("key, value", BAD_CONFIG_VALUES)
     def test_config_value_of_wrong_type_exits_three(self, tmp_path, capsys,
                                                     key, value):
         config = tmp_path / "config.json"
@@ -655,6 +671,25 @@ class TestSuite:
 
     def test_zero_instances_rejected(self, tmp_path):
         assert main(["suite", "--n-per-theorem", "0"]) == 3
+
+    def test_non_utf8_config_exits_three(self, tmp_path, capsys):
+        config = tmp_path / "bin.json"
+        config.write_bytes(NOT_UTF8)
+        assert main(["suite", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS, ids=lambda tol: str(tol)[:8])
+@pytest.mark.parametrize("command", ["check", "suite"])
+def test_tol_flag_is_validated_as_the_config_key(tmp_path, capsys, command, tol):
+    # the values the config key refuses, given on the command line
+    if command == "check":
+        operands = [str(write_instance(tmp_path, "thm4.6", "parseval_exact"))]
+    else:
+        operands = ["--n-per-theorem", "1", "--out", str(tmp_path / "suite.json")]
+    assert main([command, f"--tol={tol}", *operands]) == 3
+    assert "tol must be" in capsys.readouterr().err
 
 
 def out_of_order(report) -> bool:

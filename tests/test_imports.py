@@ -1,7 +1,9 @@
 """Guards against dead code: every module-level import in the package and
 in its tests is referenced by the module that makes it, or exported in its
-__all__, and every private module-level name of the package (a `_x`
-function, class or constant) is referenced somewhere in the package."""
+__all__, every private module-level name of the package (a `_x`
+function, class or constant) is referenced somewhere in the package, and
+every public name of a module is reached by the package itself, not only
+through its re-export for the tests."""
 
 import ast
 from pathlib import Path
@@ -61,12 +63,11 @@ def private_definitions(tree: ast.Module) -> list[str]:
             if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
 
 
-def orphans(sources: dict[str, str]) -> list[str]:
-    """``module:name`` for each private module-level name that no module
-    of ``sources`` loads, reads as an attribute or imports."""
-    trees = {module: ast.parse(text) for module, text in sources.items()}
+def referenced_names(trees) -> set[str]:
+    """Every name that one of ``trees`` loads, reads as an attribute or
+    imports."""
     referenced = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 referenced.add(node.id)
@@ -74,6 +75,14 @@ def orphans(sources: dict[str, str]) -> list[str]:
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
+    return referenced
+
+
+def orphans(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each private module-level name that no module
+    of ``sources`` loads, reads as an attribute or imports."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    referenced = referenced_names(trees.values())
     return [f"{module}:{name}" for module, tree in trees.items()
             for name in private_definitions(tree) if name not in referenced]
 
@@ -91,6 +100,53 @@ def test_the_guard_sees_an_orphan():
         "b.py": "from .a import _helper\n_helper()\n",
     }
     assert orphans(sources) == ["a.py:_spare", "a.py:_left_behind", "a.py:_Unused"]
+
+
+def public_names(tree: ast.Module) -> list[str]:
+    """The names a module lists in ``__all__``."""
+    return [name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)]
+
+
+def unreached(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each ``__all__`` name of a module of ``sources``
+    that no module but ``__init__.py`` loads, reads as an attribute or
+    imports: a name only re-exported is one only the tests reach."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    referenced = referenced_names(tree for module, tree in trees.items()
+                                  if module != "__init__.py")
+    return [f"{module}:{name}" for module, tree in trees.items()
+            if module != "__init__.py"
+            for name in public_names(tree) if name not in referenced]
+
+
+def test_every_public_name_is_reached():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreached(sources) == []
+
+
+def test_the_guard_sees_an_unreached_public_name():
+    sources = {
+        "__init__.py": "from .a import shown, spare\n__all__ = ['shown', 'spare']\n",
+        "a.py": "__all__ = ['shown', 'spare', 'LIMIT', 'used']\nLIMIT = 1\n"
+                "def shown():\n    return LIMIT\ndef spare():\n    pass\n"
+                "def used():\n    pass\n",
+        "b.py": "from .a import shown\nimport a\na.used()\n",
+    }
+    assert unreached(sources) == ["a.py:spare"]
+
+
+def test_oracles_import_no_checker():
+    # the tests' oracles check the checkers, so they may not call them:
+    # no framekit.theorems, framekit.instances or the re-exporting package
+    tree = ast.parse((TESTS / "oracles.py").read_text())
+    modules = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    framekit = {m for m in modules if m.split(".")[0] == "framekit"}
+    assert framekit <= {"framekit.errors", "framekit.frame_core", "framekit.numerics"}
 
 
 def test_checkers_import_no_random_streams():

@@ -8,7 +8,6 @@ import pytest
 
 from framekit._rng import gaussian_matrix, make_rng
 from framekit.errors import HypothesisFailed, InvalidConfig
-from framekit.frame_core import fusion_operator
 from framekit.instances import (
     REGISTRY,
     THEOREM_IDS,
@@ -101,10 +100,6 @@ class TestGeneratedOperators:
         assert sv.min() >= 0.5 * (1.0 - 1e-12)
         assert sv.max() <= 2.0 * (1.0 + 1e-12)
 
-    def test_projection_kind_idempotent(self):
-        p = gen_operator(make_rng(5), 6, "orthogonal_projection", True)
-        assert operator_norm(p @ p - p) <= 1e-12
-
     def test_drazin_index_kinds(self):
         for index in (1, 2, 3):
             for seed in (0, 1):
@@ -156,7 +151,7 @@ class TestCertifiedConstants:
         return np.sqrt(total)
 
     def family_energy(self, fam, probe):
-        s = fusion_operator(fam)
+        s = fam.fusion_operator
         return np.sqrt(
             np.einsum("ij,jk,ik->i", probe.conj(), s, probe).real.clip(min=0.0)
         )
@@ -260,5 +255,5 @@ class TestSuiteComposition:
     def test_spanning_family_spans(self):
         for seed in (0, 1):
             fam = spanning_family(make_rng(seed), 6, seed % 2 == 0)
-            spectrum = np.linalg.eigvalsh(fusion_operator(fam))
+            spectrum = np.linalg.eigvalsh(fam.fusion_operator)
             assert float(spectrum[0]) > 0.1

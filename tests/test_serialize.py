@@ -20,6 +20,7 @@ from framekit.instances import (
 )
 from framekit.frame_core import WeightedSubspaceFamily
 from framekit.numerics import Subspace
+from oracles import from_span
 from framekit.serialize import (
     _bulk_matrix,
     _matrix_from,
@@ -36,7 +37,7 @@ def tiny_instance(scalar="real"):
     e1 = np.zeros((2, 1), dtype=np.complex128)
     e1[0, 0] = 1.0
     family = WeightedSubspaceFamily(
-        2, ((Subspace(2, e1), 1.0), (Subspace.from_span(np.eye(2)[:, 1:]), 2.0))
+        2, ((Subspace(2, e1), 1.0), (from_span(np.eye(2)[:, 1:]), 2.0))
     )
     return Instance(
         dim=2, scalar=scalar, family=family,

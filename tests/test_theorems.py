@@ -35,8 +35,8 @@ from framekit.numerics import (
     hermitian_eig,
     hermitian_part,
     projector,
-    psd_scale_bisection,
 )
+from oracles import from_span, psd_scale_bisection
 from framekit.theorems import (
     PerturbationConstants,
     _check_hypothesis,
@@ -58,7 +58,7 @@ from framekit.theorems import (
 def axis_subspace(ambient, index):
     e = np.zeros((ambient, 1))
     e[index, 0] = 1.0
-    return Subspace.from_span(e)
+    return from_span(e)
 
 
 def weighted_axes(weights, ambient=None):
@@ -442,7 +442,7 @@ class TestQuadraticPerturbation:
         # supremum of |<f, D_1 f>| + |<f, D_2 f>| is sqrt(2) delta, while
         # |D_1| + |D_2| = 2 delta I
         def member(x, y, weight):
-            return Subspace.from_span(np.array([[x], [y]])), weight
+            return from_span(np.array([[x], [y]])), weight
 
         root, h = math.sqrt(delta), math.sqrt(0.5)
         units = (member(1.0, 0.0, 1.0), member(0.0, 1.0, 1.0))
@@ -529,9 +529,7 @@ class TestSynthesisPerturbation:
 
     def test_plain_variant_scaled_operator_brackets(self):
         ww = random_spanning_family(55, 4)
-        from framekit.frame_core import fusion_operator
-
-        s_full = fusion_operator(ww)
+        s_full = ww.fusion_operator
         for eps in (0.1, 0.5):
             # K* = (1+eps) S with nothing erased: a = eps/(1+eps) certifies
             k = (1.0 + eps) * s_full.conj().T
