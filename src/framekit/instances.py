@@ -142,13 +142,13 @@ def random_invertible(rng, n: int, complex_scalars: bool) -> np.ndarray:
 
 def random_subspace(rng, ambient: int, dim: int, complex_scalars: bool) -> Subspace:
     q, _ = np.linalg.qr(gaussian_matrix(rng, ambient, dim, complex_scalars))
-    return Subspace(ambient, q[:, :dim])
+    return Subspace._of(ambient, q[:, :dim])
 
 
 def _axis(dim: int, j: int) -> Subspace:
     e = np.zeros((dim, 1), dtype=np.complex128)
     e[j, 0] = 1.0
-    return Subspace(dim, e)
+    return Subspace._of(dim, e)
 
 
 def _partition_subsets(rng, n: int) -> list[list[int]]:
@@ -171,7 +171,7 @@ def spanning_family(rng, dim: int, complex_scalars: bool, extra: int = 2
     members = []
     for subset in _partition_subsets(rng, dim):
         w = float(_log_uniform(rng, 0.7, 1.6))
-        members.append((Subspace(dim, u[:, subset]), w))
+        members.append((Subspace._of(dim, u[:, subset]), w))
     for _ in range(extra):
         d = int(rng.integers(1, min(3, dim) + 1))
         w = float(_log_uniform(rng, 0.7, 1.6))
@@ -287,7 +287,7 @@ def gen_perturbed_pair(rng, dim: int, scenario: str, complex_scalars: bool
                 vec = np.zeros((dim, 1), dtype=np.complex128)
                 vec[j, 0] = math.cos(theta)
                 vec[j + 1, 0] = math.sin(theta)
-                members_v.append((Subspace(dim, vec), 1.0))
+                members_v.append((Subspace._of(dim, vec), 1.0))
             else:
                 members_v.append((_axis(dim, j), 1.0))
         norm_cert, quad_cert = _rotation_certificates(theta)
@@ -341,7 +341,7 @@ def _gen_image(spec: GenSpec, rng) -> dict:
     u = random_unitary(rng, n, cx)
     subsets = _partition_subsets(rng, n)
     members = tuple(
-        (Subspace(n, u[:, s]), float(_log_uniform(rng, 0.5, 2.0)))
+        (Subspace._of(n, u[:, s]), float(_log_uniform(rng, 0.5, 2.0)))
         for s in subsets
     )
     n_covered = int(rng.integers(1, len(subsets) + 1))

@@ -111,7 +111,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NonFinite("matrix has non-finite entries")
     return m
 
@@ -154,7 +154,7 @@ def _checked_hermitian(m, name: str) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise NotSquare(f"{name} must be square, got {m.shape}")
     adjoint = m.conj().T
-    if not np.array_equal(m, adjoint):
+    if not (m == adjoint).all():
         if operator_norm(m - adjoint) > 1e-10 * operator_norm(m):
             raise NotHermitian(f"{name} is not Hermitian within tolerance")
         m = (m + adjoint) / 2.0
@@ -280,13 +280,27 @@ class Subspace:
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
 
+    @classmethod
+    def _of(cls, ambient_dim: int, basis: np.ndarray) -> "Subspace":
+        """A subspace on a basis that framekit has built orthonormal (by QR,
+        SVD or a unit vector) or the decoder has checked, stored as
+        __post_init__ stores it, a C-ordered read-only complex128 copy, but
+        not checked again."""
+        b = np.asarray(basis, dtype=np.complex128).copy()
+        b.setflags(write=False)
+        s = object.__new__(cls)
+        object.__setattr__(s, "ambient_dim", ambient_dim)
+        object.__setattr__(s, "basis", b)
+        return s
+
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.zeros((ambient_dim, 0), dtype=np.complex128))
+        return cls._of(ambient_dim, np.zeros((ambient_dim, 0), dtype=np.complex128))
+
 
 def range_basis(m, rank_tol: float = RANK_TOL, *,
                 scale: float | None = None) -> Subspace:
@@ -306,7 +320,7 @@ def range_basis(m, rank_tol: float = RANK_TOL, *,
             return Subspace.zero(m.shape[0])
         scale = s[0]
     keep = s > rank_tol * scale
-    return Subspace(m.shape[0], u[:, keep])
+    return Subspace._of(m.shape[0], u[:, keep])
 
 
 def projector(w: Subspace) -> np.ndarray:
@@ -343,17 +357,16 @@ def _certify_psd_scale(sw: np.ndarray, g: np.ndarray, a: float,
     The test ok(t) := lambda_min(Sw - t G) >= -_PSD_SLACK ||Sw|| is
     monotone in t because G is PSD.  So ok(a - d) together with
     not ok(a + d), d = 1e-8 max(a, ||Sw|| / lambda_max(G)), pins the
-    threshold to within d of ``a`` in two eigensolves.  Both d and the
-    slack scale with the forms.  The lower test is skipped when
-    a - d <= 0, since the threshold is never below 0.
+    threshold to within d of ``a``.  Both d and the slack scale with the
+    forms.  The lower test is skipped when a - d <= 0, since the threshold
+    is never below 0.  The tests run as one eigvalsh of the stacked forms,
+    which gives each form the eigenvalues of a call of its own, bit for bit.
     """
     slack = _PSD_SLACK * sw_norm
     delta = 1e-8 * max(a, sw_norm / g_max)
-
-    def ok(t: float) -> bool:
-        return float(np.linalg.eigvalsh(sw - t * g)[0]) >= -slack
-
-    if ok(a + delta) or (a - delta > 0.0 and not ok(a - delta)):
+    scales = (a + delta, a - delta) if a - delta > 0.0 else (a + delta,)
+    ok = np.linalg.eigvalsh(np.stack([sw - t * g for t in scales]))[:, 0] >= -slack
+    if ok[0] or not ok[1:].all():
         raise OracleMismatch(
             f"closed form {a:.12e} is not the PSD threshold to within {delta:.3e}"
         )
@@ -370,6 +383,13 @@ def pencil(left_form: np.ndarray, left_max: float,
     ratio is that pencil's top eigenvalue, clipped at 0; it is 0 when L = 0,
     and inf when R = 0 or L leaks out of range(R).
     """
+    return _pencil(left_form, left_max, right_eig, kernel_top=True)
+
+
+def _pencil(left_form: np.ndarray, left_max: float, right_eig: EigenResult,
+            kernel_top: bool) -> tuple[float, list[np.ndarray]]:
+    """pencil, with the kernel candidate built only when ``kernel_top``:
+    it costs an eigensolve that a caller of the ratio alone discards."""
     w, v = right_eig.eigenvalues, right_eig.eigenvectors
     keep = w > RANK_TOL * max(float(w[-1]), 0.0)
 
@@ -377,7 +397,7 @@ def pencil(left_form: np.ndarray, left_max: float,
         mu, vecs = np.linalg.eigh(hermitian_part(b.conj().T @ left_form @ b))
         return float(mu[-1]), b @ vecs[:, -1]
 
-    tops = [top(v[:, ~keep])[1]] if not keep.all() else []
+    tops = [top(v[:, ~keep])[1]] if kernel_top and not keep.all() else []
     if not keep.any():
         return (0.0 if left_max <= 0.0 else math.inf), tops
     mu, vec = top(v[:, keep] / np.sqrt(w[keep]))
@@ -396,8 +416,8 @@ def max_psd_scale(sw, g, *, sw_eig: EigenResult | None = None) -> float:
     """sup { a >= 0 : Sw - a G is PSD } for Hermitian PSD Sw and G.
 
     Computed as 1 / the pencil ratio of (G, Sw), then certified by two
-    min-eigenvalue tests; a scale off the PSD threshold by more than 1e-8
-    (relative) raises OracleMismatch.  Returns 0 when range(G) is not
+    min-eigenvalue tests in one eigensolve; a scale off the PSD threshold
+    by more than 1e-8 (relative) raises OracleMismatch.  Returns 0 when range(G) is not
     inside range(Sw), and +inf when G = 0 (the constraint is vacuous).
     ``sw_eig``, when given, must be ``hermitian_eig(sw)``, such as a
     family's cached ``fusion_eig``; it saves recomputing it.
@@ -412,7 +432,7 @@ def max_psd_scale(sw, g, *, sw_eig: EigenResult | None = None) -> float:
     g_max = float(g_w[-1]) if g_w.size else 0.0
     if g_max <= 0.0:
         return math.inf
-    ratio = pencil(gh, g_max, sw_eig)[0]
+    ratio = _pencil(gh, g_max, sw_eig, kernel_top=False)[0]
     scale = 1.0 / ratio if ratio > 0.0 else math.inf
     if 0.0 < scale < math.inf:
         _certify_psd_scale(hermitian_part(sw), gh, scale,

@@ -23,7 +23,13 @@ from framekit.instances import (
     spanning_family,
     spoiler_suite_entries,
 )
-from framekit.numerics import drazin, operator_norm, projector
+from framekit.numerics import (
+    Subspace,
+    drazin,
+    operator_norm,
+    projector,
+    range_basis,
+)
 from framekit.serialize import dumps_instance
 from framekit.theorems import PerturbationConstants
 
@@ -257,3 +263,33 @@ class TestSuiteComposition:
             fam = spanning_family(make_rng(seed), 6, seed % 2 == 0)
             spectrum = np.linalg.eigvalsh(fam.fusion_operator)
             assert float(spectrum[0]) > 0.1
+
+
+class TestTrustedBases:
+    """Framekit stores the bases it builds by QR, SVD or a unit vector
+    without the public constructor's checks; this holds them to those
+    checks and to the layout the constructor stores."""
+
+    def built_subspaces(self):
+        for inst in default_suite_entries(20) + spoiler_suite_entries():
+            for fam in (inst.family, inst.family_v):
+                if fam is not None:
+                    yield from (s for s, _ in fam.members)
+            if inst.meta["theorem"] == "thm3.1":
+                k = inst.operators["K"]
+                k_norm = operator_norm(k)
+                yield range_basis(k)
+                # the member images, as thm3.1's check builds them
+                yield from (range_basis(k @ s.basis, scale=k_norm)
+                            for s, _ in inst.family.members)
+
+    def test_pass_the_public_checks_in_the_stored_layout(self):
+        count = 0
+        for s in self.built_subspaces():
+            checked = Subspace(s.ambient_dim, s.basis)
+            assert np.array_equal(checked.basis, s.basis)
+            b = s.basis
+            assert b.dtype == np.complex128
+            assert b.flags.c_contiguous and not b.flags.writeable
+            count += 1
+        assert count > 1000

@@ -26,6 +26,7 @@ from framekit.numerics import (
     hermitian_part,
     max_psd_scale,
     operator_norm,
+    pencil,
     pinv,
     projector,
     quadratic_forms,
@@ -340,8 +341,47 @@ class TestCertifyPsdScale:
             counts["n"] = 0
             assert math.isfinite(max_psd_scale(sw, hermitian_part(scale * g)))
             per_call.append(counts["n"])
-        assert per_call[0] <= 6
-        assert per_call == [per_call[0]] * 3
+        # hermitian_eig(Sw), eigvalsh(G), the pencil on range(Sw) and one
+        # stacked eigvalsh for both certificate tests
+        assert per_call == [4] * 3
+
+    def test_both_tests_share_one_stacked_eigensolve(self, monkeypatch):
+        sw, g = psd_pencil(5, 16, True, g_rank=4)
+        tiny_sw, tiny_g = np.diag([3e-9, 1.0]), np.diag([1.0, 0.0])
+        # (Sw, G, optimum, ||Sw||, lambda_max(G)) before eigvalsh is recorded
+        cases = [(m, h, max_psd_scale(m, h), operator_norm(m),
+                  float(np.linalg.eigvalsh(h)[-1]))
+                 for m, h in ((hermitian_part(sw), g), (tiny_sw, tiny_g))]
+        solve = np.linalg.eigvalsh
+        shapes = []
+
+        def recorded(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return solve(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        for case in cases:
+            _certify_psd_scale(*case)
+        # the optimum 3e-9 lies below delta = 1e-8, so the lower test is
+        # skipped and the one call holds the upper form alone
+        assert shapes == [(2, 16, 16), (1, 2, 2)]
+
+    def test_max_psd_scale_builds_no_kernel_candidate(self, monkeypatch):
+        # Sw has a kernel, so pencil() returns the top vector of G on it as
+        # well; max_psd_scale reads the ratio alone and skips that eigh
+        sw, g = np.diag([2.0, 1.0, 0.0]), np.diag([1.0, 0.0, 0.0])
+        assert len(pencil(g, 1.0, hermitian_eig(sw))[1]) == 2
+        eigh = np.linalg.eigh
+        shapes = []
+
+        def recorded(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        assert max_psd_scale(sw, g) == pytest.approx(2.0, rel=1e-12)
+        # hermitian_eig(Sw) and the pencil compressed to range(Sw)
+        assert shapes == [(3, 3), (2, 2)]
 
 
 class TestQuadraticForms:

@@ -163,6 +163,78 @@ class TestDiagnostics:
             loads_instance("][")
 
 
+class TestBasisDiagnostics:
+    """The decoder tests a family's bases in one batched pass, yet reports
+    the first faulty member by its path, as a test per member would."""
+
+    def wide_obj(self, n=8):
+        # the n axes, then the planes (e0, e1) and (e2, e3), in both families
+        rows = np.eye(n).tolist()
+        members = [{"weight": 1.0, "basis": [row]} for row in rows]
+        members += [{"weight": 0.5, "basis": rows[j:j + 2]} for j in (0, 2)]
+        return {
+            "format": serialize.INSTANCE_FORMAT, "dim": n, "scalar": "real",
+            "members": members, "members_v": json.loads(json.dumps(members)),
+            "operators": {"K": rows}, "erased": [],
+            "meta": {"theorem": "thm3.1", "seed": 1},
+        }
+
+    def message(self, obj):
+        with pytest.raises(InvalidConfig) as err:
+            obj_to_instance(obj)
+        return str(err.value)
+
+    def test_the_wide_document_decodes(self):
+        inst = obj_to_instance(self.wide_obj())
+        assert [s.dim for s, _ in inst.family.members] == [1] * 8 + [2, 2]
+        assert len(inst.family_v) == 10
+
+    @pytest.mark.parametrize("key", ["members", "members_v"])
+    @pytest.mark.parametrize("k", [0, 5, 7, 8, 9])
+    def test_names_the_one_skewed_member(self, key, k):
+        obj = self.wide_obj()
+        basis = obj[key][k]["basis"]
+        basis[0] = [2.0 * x for x in basis[0]]
+        assert self.message(obj) == (
+            f"{key}[{k}].basis: basis columns are not orthonormal")
+
+    @pytest.mark.parametrize("drift, decodes", [(0.6e-12, True), (1.5e-12, False)])
+    def test_spectral_drift_decides_past_the_frobenius_test(self, drift, decodes):
+        # B* B - I = drift I on a plane: Frobenius sqrt(2) drift is above
+        # the batched test's 0.5e-12, so the spectral drift decides
+        obj = self.wide_obj()
+        c = math.sqrt(1.0 + drift)
+        obj["members"][8]["basis"] = [[c * x for x in row]
+                                      for row in obj["members"][8]["basis"]]
+        b = np.array(obj["members"][8]["basis"]).T
+        frobenius = np.linalg.norm(b.T @ b - np.eye(2))
+        assert 0.5e-12 < frobenius and abs(frobenius / math.sqrt(2) - drift) < 1e-15
+        if not decodes:
+            assert self.message(obj) == (
+                "members[8].basis: basis columns are not orthonormal")
+            return
+        inst = obj_to_instance(obj)
+        assert np.array_equal(inst.family.members[8][0].basis, b)
+
+    @pytest.mark.parametrize("later", ["weight", "entry", "sign"])
+    def test_an_earlier_skewed_member_is_reported_first(self, later):
+        obj = self.wide_obj()
+        obj["members"][3]["basis"] = [[1.0, 1.0] + [0.0] * 6]
+        if later == "weight":
+            obj["members"][6]["weight"] = "heavy"
+        elif later == "entry":
+            obj["members"][6]["basis"][0][2] = "zero"
+        else:
+            obj["members"][6]["weight"] = -1.0
+        assert self.message(obj) == (
+            "members[3].basis: basis columns are not orthonormal")
+
+    def test_a_later_malformed_member_is_reported_after_good_ones(self):
+        obj = self.wide_obj()
+        obj["members"][6]["weight"] = "heavy"
+        assert self.message(obj) == "members[6].weight: expected a real number"
+
+
 NUMBERS = st.one_of(
     st.floats(allow_nan=False),
     st.integers(-(10**30), 10**30),

@@ -478,16 +478,18 @@ class TestQuadraticPerturbation:
             assert err.value.residual == pytest.approx(
                 (math.sqrt(2) - factor) * delta, rel=1e-9)
 
-    def test_pass_makes_ten_eigensolves_and_draws_nothing(self, monkeypatch):
+    def test_pass_makes_eight_eigensolves_and_draws_nothing(self, monkeypatch):
         # eigh: the stacked member forms, R K K* - sum |D_i|, and one pencil
-        # per optimal lower bound; eigvalsh: G and the two certificate
-        # tests per bound.  The family spectra come from the filled caches.
+        # per optimal lower bound; eigvalsh: G and the stacked pair of
+        # certificate tests per bound.  The family spectra come from the
+        # filled caches.
         inst = build_instance("prop4.5", GenSpec(7, 10, "rotation"))
         inst.family.fusion_eig, inst.family_v.fusion_eig  # fill the caches
         calls = record_eigensolves(monkeypatch)
         assert check_instance(inst).passed
         assert sorted((name, m.ndim) for name, m in calls) == (
-            [("eigh", 2)] * 3 + [("eigh", 3)] + [("eigvalsh", 2)] * 6)
+            [("eigh", 2)] * 3 + [("eigh", 3)]
+            + [("eigvalsh", 2)] * 2 + [("eigvalsh", 3)] * 2)
 
 
 class TestSynthesisPerturbation:
