@@ -15,6 +15,7 @@ import importlib
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -372,24 +373,22 @@ def _certify_psd_scale(sw: np.ndarray, g: np.ndarray, a: float,
         )
 
 
-def pencil(left_form: np.ndarray, left_max: float,
-           right_eig: EigenResult) -> tuple[float, list[np.ndarray]]:
-    """The largest ratio <f, L f> / <f, R f>, L = ``left_form`` with top
-    eigenvalue ``left_max`` and R the form ``right_eig`` decomposes, and
-    the witness candidates for it.
+def pencil(left_form: np.ndarray, left_max: Callable[[], float],
+           right_eig: EigenResult, *,
+           kernel_top: bool = True) -> tuple[float, list[np.ndarray]]:
+    """The largest ratio <f, L f> / <f, R f>, L = ``left_form`` and R the
+    form ``right_eig`` decomposes, and the witness candidates for it.
 
-    The candidates are the top vector of L on the numerical kernel of R and
-    the top vector of the pencil L g = mu R g compressed to range(R).  The
-    ratio is that pencil's top eigenvalue, clipped at 0; it is 0 when L = 0,
-    and inf when R = 0 or L leaks out of range(R).
+    The candidates are the top vector of L on the numerical kernel of R,
+    built only when ``kernel_top`` (it costs an eigensolve that a caller of
+    the ratio alone discards), and the top vector of the pencil L g = mu R g
+    compressed to range(R).  The ratio is that pencil's top eigenvalue,
+    clipped at 0; it is 0 when L = 0, and inf when R = 0 or L leaks out of
+    range(R).  ``left_max()`` gives lambda_max(L) and is called only when R
+    is zero or has a kernel.  At full rank L must be PSD as computed, like
+    the Hermitian part of X X*: its lambda_max is at most 0 only when L = 0,
+    and then the clipped eigenvalue is 0 as well.
     """
-    return _pencil(left_form, left_max, right_eig, kernel_top=True)
-
-
-def _pencil(left_form: np.ndarray, left_max: float, right_eig: EigenResult,
-            kernel_top: bool) -> tuple[float, list[np.ndarray]]:
-    """pencil, with the kernel candidate built only when ``kernel_top``:
-    it costs an eigensolve that a caller of the ratio alone discards."""
     w, v = right_eig.eigenvalues, right_eig.eigenvectors
     keep = w > RANK_TOL * max(float(w[-1]), 0.0)
 
@@ -399,15 +398,16 @@ def _pencil(left_form: np.ndarray, left_max: float, right_eig: EigenResult,
 
     tops = [top(v[:, ~keep])[1]] if kernel_top and not keep.all() else []
     if not keep.any():
-        return (0.0 if left_max <= 0.0 else math.inf), tops
+        return (0.0 if left_max() <= 0.0 else math.inf), tops
     mu, vec = top(v[:, keep] / np.sqrt(w[keep]))
     tops.append(vec)
-    if left_max <= 0.0:
-        return 0.0, tops
     if not keep.all():
         # at full rank range(L) <= range(R) always holds: the leak is rounding
+        top_l = left_max()
+        if top_l <= 0.0:
+            return 0.0, tops
         vr = v[:, keep]
-        if operator_norm(left_form - vr @ (vr.conj().T @ left_form)) > RANK_TOL * left_max:
+        if operator_norm(left_form - vr @ (vr.conj().T @ left_form)) > RANK_TOL * top_l:
             return math.inf, tops
     return max(mu, 0.0), tops
 
@@ -432,7 +432,7 @@ def max_psd_scale(sw, g, *, sw_eig: EigenResult | None = None) -> float:
     g_max = float(g_w[-1]) if g_w.size else 0.0
     if g_max <= 0.0:
         return math.inf
-    ratio = _pencil(gh, g_max, sw_eig, kernel_top=False)[0]
+    ratio = pencil(gh, lambda: g_max, sw_eig, kernel_top=False)[0]
     scale = 1.0 / ratio if ratio > 0.0 else math.inf
     if 0.0 < scale < math.inf:
         _certify_psd_scale(hermitian_part(sw), gh, scale,

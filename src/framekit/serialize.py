@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import DimensionMismatch, InvalidConfig
 from .frame_core import FrameBounds, WeightedSubspaceFamily
 from .instances import REGISTRY, Instance
 from .numerics import Subspace
@@ -251,7 +251,7 @@ def _members(decoded: list, dim: int, path: str) -> list:
     for i, ((basis, weight), ok) in enumerate(zip(decoded, trusted)):
         try:
             member = Subspace._of(dim, basis) if ok else Subspace(dim, basis)
-        except ValueError as exc:
+        except (ValueError, DimensionMismatch) as exc:
             raise _fail(f"{path}[{i}].basis", str(exc)) from None
         members.append((member, weight))
     return members

@@ -19,9 +19,10 @@ is raised (see _check_hypothesis and _quadratic_hypothesis).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, NoReturn, Sequence
+from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -43,6 +44,7 @@ from .frame_core import (
 from .kfusion import k_bounds, k_operator
 from .numerics import (
     RANK_TOL,
+    EigenResult,
     _certify_psd_scale,
     drazin,
     hermitian_eig,
@@ -379,17 +381,19 @@ def _refute(left: np.ndarray, active: Sequence[tuple[float, Side]],
     raise HypothesisUndecided(_UNDECIDED)
 
 
-def _one_term_hypothesis(left: np.ndarray, left_form: np.ndarray, left_max: float,
-                         c: float, side: Side, tol: float, clause: str) -> float:
+def _one_term_hypothesis(left: np.ndarray, left_form: np.ndarray,
+                         left_max: Callable[[], float], c: float, side: Side,
+                         tol: float, clause: str) -> float:
     """Decide ||X* f|| <= c ||Y* f|| with c > 0, L = ``left_form`` = X X*
-    with top eigenvalue ``left_max``.
+    with top eigenvalue ``left_max()``.
 
     With R = Y Y*, c_opt = sqrt of the pencil ratio of (L, R) is the least
     constant that holds (Douglas), so the violation is at most (c_opt - c)
     sqrt(lambda_max(R)): at most ``tol`` accepts and returns that bound.
     1/c_opt^2 is certified only when it would accept; a constant that is
     not accepted goes to the pencil's witness whether or not its
-    certificate holds.
+    certificate holds.  So lambda_max(L) is read by the certificate and,
+    when R is zero or has a kernel, by the pencil, and by nothing else.
     """
     right = _side_form(side)
     right_eig = (side.fusion_eig if isinstance(side, WeightedSubspaceFamily)
@@ -404,11 +408,21 @@ def _one_term_hypothesis(left: np.ndarray, left_form: np.ndarray, left_max: floa
                 if scale < math.inf:
                     # R is a Hermitian part already, as max_psd_scale passes it
                     _certify_psd_scale(right, left_form, scale,
-                                       max(abs(w[0]), abs(w[-1])), left_max)
+                                       max(abs(w[0]), abs(w[-1])), left_max())
                 return bound
             except OracleMismatch:
                 pass  # no certified constant: only a witness can decide
     _refute(left, [(c, side)], tops, tol, clause)
+
+
+def _form_eig(q: np.ndarray) -> EigenResult:
+    """hermitian_eig(q), in closed form for a positive multiple d I of the
+    identity, such as the c^2 I that thm4.7's c-term merges into: d
+    repeated and the eigenvectors I, the arrays eigh returns for it."""
+    d = q[0, 0].real
+    if d > 0.0 and np.array_equal(q, d * np.eye(len(q))):
+        return EigenResult(np.full(len(q), d), np.eye(len(q), dtype=np.complex128))
+    return hermitian_eig(q)
 
 
 def _two_term_hypothesis(left: np.ndarray, left_form: np.ndarray,
@@ -434,19 +448,26 @@ def _two_term_hypothesis(left: np.ndarray, left_form: np.ndarray,
     """
     (c1, side1), rest = active[0], active[1:]
     left_w, left_v = np.linalg.eigh(left_form)
-    left_max = float(left_w[-1])
+
+    def left_max():
+        return float(left_w[-1])
+
     q1 = c1 * c1 * _side_form(side1)
     q2 = sum(c * c * _side_form(side) for c, side in rest)
-    eigs = (hermitian_eig(q1), hermitian_eig(q2))
+    eigs = (hermitian_eig(q1), _form_eig(q2))
     ends = []
     for eig, other in zip(eigs, (q2, q1)):
         w, v = eig.eigenvalues, eig.eigenvectors
         ker = v[:, w <= RANK_TOL * max(float(w[-1]), 0.0)]
         if ker.shape[1]:
             left_ker = hermitian_part(ker.conj().T @ left_form @ ker)
-            ends.append(pencil(
-                left_ker, float(np.linalg.eigvalsh(left_ker)[-1]),
-                hermitian_eig(hermitian_part(ker.conj().T @ other @ ker)))[0])
+            # a compressed form can have lambda_max <= 0 and not be 0, so
+            # its clip is read here and not left to the pencil
+            ker_max = float(np.linalg.eigvalsh(left_ker)[-1])
+            ends.append(0.0 if ker_max <= 0.0 else pencil(
+                left_ker, lambda: ker_max,
+                hermitian_eig(hermitian_part(ker.conj().T @ other @ ker)),
+                kernel_top=False)[0])
 
     def pencil_at(s):  # (L, M(s)); an s rounded onto an end of (0, 1) moves inside
         s = min(max(s, 2.0**-53), 1.0 - 2.0**-53)
@@ -505,9 +526,10 @@ def _check_hypothesis(left: np.ndarray, terms: Sequence[tuple[float, Side]],
     left_form = _side_form(left)
     if len(active) > 1:
         return _two_term_hypothesis(left, left_form, active, tol, clause)
-    left_max = float(np.linalg.eigvalsh(left_form)[-1])
+    # solved on first use: a one-term rejection at full rank never reads it
+    left_max = functools.cache(lambda: float(np.linalg.eigvalsh(left_form)[-1]))
     if not active:
-        top = math.sqrt(max(left_max, 0.0))
+        top = math.sqrt(max(left_max(), 0.0))
         if top > tol:
             raise HypothesisFailed(clause, top)
         return top

@@ -218,6 +218,29 @@ class TestCheck:
         code = main(["check", str(path)])
         return code, capsys.readouterr().err
 
+    @pytest.mark.parametrize("theorem, scenario, key", [
+        ("thm3.1", "dressed_subset", "members"),
+        ("thm4.4.1", "weight_shift", "members_v"),
+    ])
+    def test_basis_wider_than_dim_names_its_path(self, tmp_path, capsys,
+                                                 theorem, scenario, key):
+        # four vectors in a dim-3 space: the constructor's DimensionMismatch
+        # reaches the user as a config error on the member's basis
+        path = write_instance(tmp_path, theorem, scenario, dim=3)
+        obj = json.loads(path.read_text())
+
+        def entry(x):
+            return [x, 0.0] if obj["scalar"] == "complex" else x
+
+        obj[key][0]["basis"] = [[entry(float(i == j % 3)) for i in range(3)]
+                                for j in range(4)]
+        path.write_text(json.dumps(obj))
+        assert main(["check", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert (f"config error: {key}[0].basis: more basis columns than "
+                "ambient dimensions") in err
+        assert "DimensionMismatch" not in err and "Traceback" not in err
+
     @pytest.mark.parametrize("erased", [[99], [-1], "all"])
     def test_bad_erased_exits_three(self, tmp_path, capsys, erased):
         def edit(obj):

@@ -370,7 +370,7 @@ class TestCertifyPsdScale:
         # Sw has a kernel, so pencil() returns the top vector of G on it as
         # well; max_psd_scale reads the ratio alone and skips that eigh
         sw, g = np.diag([2.0, 1.0, 0.0]), np.diag([1.0, 0.0, 0.0])
-        assert len(pencil(g, 1.0, hermitian_eig(sw))[1]) == 2
+        assert len(pencil(g, lambda: 1.0, hermitian_eig(sw))[1]) == 2
         eigh = np.linalg.eigh
         shapes = []
 

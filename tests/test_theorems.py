@@ -40,6 +40,7 @@ from oracles import from_span, psd_scale_bisection
 from framekit.theorems import (
     PerturbationConstants,
     _check_hypothesis,
+    _form_eig,
     _member_diffs,
     _side_norms,
     check_drazin,
@@ -1065,3 +1066,136 @@ class TestRejectionWork:
             check_instance(build_instance("lem4.1", GenSpec(1001, 8, "additive")))
         assert len(calls) == 1
         assert reached == [1]
+
+
+class TestEigensolveBudget:
+    """lambda_max(L) is solved only where a decision reads it: by the
+    certificate of an accepting constant, and by the pencil when R is zero
+    or has a kernel.  A one-term rejection at full rank skips it."""
+
+    def solves_in_hypothesis(self, monkeypatch, run):
+        """The np.linalg calls that ``run()`` makes inside _check_hypothesis,
+        counted by name, and what ``run()`` returned or raised."""
+        calls, depth = [], []
+        check = framekit.theorems._check_hypothesis
+
+        def spied(*args, **kwargs):
+            depth.append(1)
+            try:
+                return check(*args, **kwargs)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(framekit.theorems, "_check_hypothesis", spied)
+        for name in ("eigh", "eigvalsh", "svd"):
+            def counted(*args, _name=name, _solve=getattr(np.linalg, name),
+                        **kwargs):
+                if depth:
+                    calls.append(_name)
+                return _solve(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        try:
+            outcome = run()
+        except HypothesisFailed as exc:
+            outcome = exc
+        return {name: calls.count(name) for name in ("eigh", "eigvalsh", "svd")}, outcome
+
+    def check_counted(self, monkeypatch, inst):
+        try:
+            check_instance(inst)  # fill the family caches
+        except HypothesisFailed:
+            pass
+        return self.solves_in_hypothesis(monkeypatch, lambda: check_instance(inst))
+
+    @pytest.mark.parametrize("make", [
+        lambda: near_miss(1000, 8),
+        lambda: build_instance("thm4.6", GenSpec(7, 8, "understated")),
+    ])
+    def test_one_term_rejection_makes_two_eighs(self, monkeypatch, make):
+        # hermitian_eig(R) and the pencil compressed to range(R); no
+        # eigvalsh of L, since a rejection at full rank never reads it
+        solves, outcome = self.check_counted(monkeypatch, make())
+        assert type(outcome) is HypothesisFailed
+        assert solves == {"eigh": 2, "eigvalsh": 0, "svd": 0}
+
+    @pytest.mark.parametrize("theorem, scenario, eighs", [
+        ("lem4.1", "scale_down", 2),
+        ("thm4.4.1", "weight_shift", 1),  # R = S_W, decomposed once per family
+    ])
+    def test_accepting_one_term_keeps_its_solves(self, monkeypatch, theorem,
+                                                 scenario, eighs):
+        # lambda_max(L) for the certificate's delta, and its stacked test
+        solves, outcome = self.check_counted(
+            monkeypatch, build_instance(theorem, GenSpec(7, 8, scenario)))
+        assert outcome.passed
+        assert solves == {"eigh": eighs, "eigvalsh": 2, "svd": 0}
+
+    def test_no_constant_reads_lambda_max_once(self, monkeypatch):
+        solves, outcome = self.check_counted(
+            monkeypatch, build_instance("lem4.1", GenSpec(7, 8, "false_constants")))
+        assert type(outcome) is HypothesisFailed
+        assert solves == {"eigh": 0, "eigvalsh": 1, "svd": 0}
+
+    def test_rank_deficient_right_side_runs_the_leak_test(self, monkeypatch):
+        rng = make_rng(5)
+        y = gaussian_matrix(rng, 8, 5, True)  # R = Y Y* has rank 5
+        inside = y @ gaussian_matrix(rng, 5, 8, True)
+        leaky = inside + 1e-3 * gaussian_matrix(rng, 8, 8, True)
+        c_opt = float(np.linalg.norm(np.linalg.pinv(y) @ inside, 2))  # Douglas
+        clause = "fails at a witness vector"
+
+        def decide(x, c):
+            return self.solves_in_hypothesis(
+                monkeypatch,
+                lambda: framekit.theorems._check_hypothesis(x, [(c, y)], 1e-9, clause))
+
+        # each makes hermitian_eig(R), the kernel and the range tops, and
+        # the leak test's norm of L - V_r V_r* L against lambda_max(L);
+        # an accept reuses that lambda_max in its certificate
+        solves, bound = decide(inside, 1.01 * c_opt)
+        assert bound <= 1e-9
+        assert solves == {"eigh": 3, "eigvalsh": 2, "svd": 1}
+        for x, c in ((inside, 0.99 * c_opt), (leaky, 10.0 * c_opt)):
+            solves, outcome = decide(x, c)
+            assert type(outcome) is HypothesisFailed
+            assert solves == {"eigh": 3, "eigvalsh": 1, "svd": 1}
+
+    def test_two_term_end_pencils_build_no_kernel_witness(self, monkeypatch):
+        # Q1 = .09 e1 e1* and Q2 = .09 e2 e2* share the kernel e3, so each
+        # end pencil has a kernel of its own; it reads only its ratio, so it
+        # skips the kernel witness, one 1x1 eigh each
+        e = np.eye(3, dtype=np.complex128)
+        left = np.diag([0.5, 0.5, 0.0]).astype(np.complex128)
+        solves, outcome = self.solves_in_hypothesis(
+            monkeypatch, lambda: framekit.theorems._check_hypothesis(
+                left, [(0.3, e[:, :1]), (0.3, e[:, 1:2])], 1e-9, "clause"))
+        assert type(outcome) is HypothesisFailed
+        assert outcome.residual == pytest.approx(0.2, rel=1e-12)  # at f = e1
+        assert solves == {"eigh": 14, "eigvalsh": 2, "svd": 5}
+
+    @pytest.mark.parametrize("c", np.geomspace(1e-6, 1e6, 12))
+    def test_identity_spectrum_is_eighs_bit_for_bit(self, c):
+        for n in range(1, 33):
+            q = c * c * np.eye(n, dtype=np.complex128)
+            exact, closed = hermitian_eig(q), _form_eig(q)
+            for a, b in ((exact.eigenvalues, closed.eigenvalues),
+                         (exact.eigenvectors, closed.eigenvectors)):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (c, n)
+
+    def test_thm47_c_term_is_not_decomposed(self, monkeypatch):
+        inst = build_instance("thm4.7", GenSpec(7, 10, "shifted_synthesis"))
+        merged = []
+        form_eig = framekit.theorems._form_eig
+
+        def spied(q):
+            merged.append(q)
+            return form_eig(q)
+
+        monkeypatch.setattr(framekit.theorems, "_form_eig", spied)
+        solved = record_eigensolves(monkeypatch)
+        assert check_instance(inst).passed
+        (q2,) = merged
+        c = inst.constants.c
+        assert np.array_equal(q2, c * c * np.eye(10))
+        assert solves_of(solved, q2) == []
