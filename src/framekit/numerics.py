@@ -373,21 +373,22 @@ def _certify_psd_scale(sw: np.ndarray, g: np.ndarray, a: float,
         )
 
 
-def pencil(left_form: np.ndarray, left_max: Callable[[], float],
-           right_eig: EigenResult, *,
-           kernel_top: bool = True) -> tuple[float, list[np.ndarray]]:
-    """The largest ratio <f, L f> / <f, R f>, L = ``left_form`` and R the
-    form ``right_eig`` decomposes, and the witness candidates for it.
+def pencil(left_form: np.ndarray, left_max_of: Callable[[], float],
+           right_eig: EigenResult, *, kernel_top: bool = True,
+           left_psd: bool = False) -> tuple[float, list[np.ndarray]]:
+    """The largest ratio <f, L f> / <f, R f>, L = ``left_form`` with top
+    eigenvalue ``left_max_of()`` and R the form ``right_eig`` decomposes,
+    and the witness candidates for it.
 
     The candidates are the top vector of L on the numerical kernel of R,
     built only when ``kernel_top`` (it costs an eigensolve that a caller of
     the ratio alone discards), and the top vector of the pencil L g = mu R g
     compressed to range(R).  The ratio is that pencil's top eigenvalue,
-    clipped at 0; it is 0 when L = 0, and inf when R = 0 or L leaks out of
-    range(R).  ``left_max()`` gives lambda_max(L) and is called only when R
-    is zero or has a kernel.  At full rank L must be PSD as computed, like
-    the Hermitian part of X X*: its lambda_max is at most 0 only when L = 0,
-    and then the clipped eigenvalue is 0 as well.
+    clipped at 0; it is 0 when lambda_max(L) <= 0, and inf when R = 0 or L
+    leaks out of range(R).  A caller whose L is PSD as computed, such as
+    the Hermitian part of X X*, passes ``left_psd``: its lambda_max(L) is at
+    most 0 only when L = 0, where the clipped eigenvalue is 0 already, so
+    ``left_max_of`` is called only when R is zero or has a kernel.
     """
     w, v = right_eig.eigenvalues, right_eig.eigenvectors
     keep = w > RANK_TOL * max(float(w[-1]), 0.0)
@@ -398,16 +399,18 @@ def pencil(left_form: np.ndarray, left_max: Callable[[], float],
 
     tops = [top(v[:, ~keep])[1]] if kernel_top and not keep.all() else []
     if not keep.any():
-        return (0.0 if left_max() <= 0.0 else math.inf), tops
+        return (0.0 if left_max_of() <= 0.0 else math.inf), tops
     mu, vec = top(v[:, keep] / np.sqrt(w[keep]))
     tops.append(vec)
+    if left_psd and keep.all():
+        return max(mu, 0.0), tops
+    left_max = left_max_of()
+    if left_max <= 0.0:
+        return 0.0, tops
     if not keep.all():
         # at full rank range(L) <= range(R) always holds: the leak is rounding
-        top_l = left_max()
-        if top_l <= 0.0:
-            return 0.0, tops
         vr = v[:, keep]
-        if operator_norm(left_form - vr @ (vr.conj().T @ left_form)) > RANK_TOL * top_l:
+        if operator_norm(left_form - vr @ (vr.conj().T @ left_form)) > RANK_TOL * left_max:
             return math.inf, tops
     return max(mu, 0.0), tops
 

@@ -44,7 +44,6 @@ from .frame_core import (
 from .kfusion import k_bounds, k_operator
 from .numerics import (
     RANK_TOL,
-    EigenResult,
     _certify_psd_scale,
     drazin,
     hermitian_eig,
@@ -398,7 +397,7 @@ def _one_term_hypothesis(left: np.ndarray, left_form: np.ndarray,
     right = _side_form(side)
     right_eig = (side.fusion_eig if isinstance(side, WeightedSubspaceFamily)
                  else hermitian_eig(right))
-    ratio, tops = pencil(left_form, left_max, right_eig)
+    ratio, tops = pencil(left_form, left_max, right_eig, left_psd=True)
     w = right_eig.eigenvalues
     if ratio < math.inf:
         bound = (math.sqrt(ratio) - c) * math.sqrt(max(float(w[-1]), 0.0))
@@ -413,16 +412,6 @@ def _one_term_hypothesis(left: np.ndarray, left_form: np.ndarray,
             except OracleMismatch:
                 pass  # no certified constant: only a witness can decide
     _refute(left, [(c, side)], tops, tol, clause)
-
-
-def _form_eig(q: np.ndarray) -> EigenResult:
-    """hermitian_eig(q), in closed form for a positive multiple d I of the
-    identity, such as the c^2 I that thm4.7's c-term merges into: d
-    repeated and the eigenvectors I, the arrays eigh returns for it."""
-    d = q[0, 0].real
-    if d > 0.0 and np.array_equal(q, d * np.eye(len(q))):
-        return EigenResult(np.full(len(q), d), np.eye(len(q), dtype=np.complex128))
-    return hermitian_eig(q)
 
 
 def _two_term_hypothesis(left: np.ndarray, left_form: np.ndarray,
@@ -454,18 +443,15 @@ def _two_term_hypothesis(left: np.ndarray, left_form: np.ndarray,
 
     q1 = c1 * c1 * _side_form(side1)
     q2 = sum(c * c * _side_form(side) for c, side in rest)
-    eigs = (hermitian_eig(q1), _form_eig(q2))
+    eigs = (hermitian_eig(q1), hermitian_eig(q2))
     ends = []
     for eig, other in zip(eigs, (q2, q1)):
         w, v = eig.eigenvalues, eig.eigenvectors
         ker = v[:, w <= RANK_TOL * max(float(w[-1]), 0.0)]
         if ker.shape[1]:
             left_ker = hermitian_part(ker.conj().T @ left_form @ ker)
-            # a compressed form can have lambda_max <= 0 and not be 0, so
-            # its clip is read here and not left to the pencil
-            ker_max = float(np.linalg.eigvalsh(left_ker)[-1])
-            ends.append(0.0 if ker_max <= 0.0 else pencil(
-                left_ker, lambda: ker_max,
+            ends.append(pencil(
+                left_ker, lambda: float(np.linalg.eigvalsh(left_ker)[-1]),
                 hermitian_eig(hermitian_part(ker.conj().T @ other @ ker)),
                 kernel_top=False)[0])
 

@@ -40,7 +40,6 @@ from oracles import from_span, psd_scale_bisection
 from framekit.theorems import (
     PerturbationConstants,
     _check_hypothesis,
-    _form_eig,
     _member_diffs,
     _side_norms,
     check_drazin,
@@ -79,13 +78,27 @@ def random_spanning_family(seed, ambient, extra=2, complex_scalars=False):
     return WeightedSubspaceFamily(ambient, tuple(members))
 
 
-def record_eigensolves(monkeypatch):
-    """Patch np.linalg.eigh and eigvalsh to record (name, matrix) per call."""
-    calls = []
-    for name in ("eigh", "eigvalsh"):
+def record_eigensolves(monkeypatch, names=("eigh", "eigvalsh"), within=None):
+    """Patch the np.linalg solvers ``names`` to record (name, matrix) per
+    call; with ``within``, the name of a framekit.theorems function, only
+    the calls made while that function runs."""
+    calls, depth = [], []
+    if within is not None:
+        inner = getattr(framekit.theorems, within)
+
+        def gated(*args, **kwargs):
+            depth.append(1)
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(framekit.theorems, within, gated)
+    for name in names:
         def counted(m, *args, _name=name, _solve=getattr(np.linalg, name),
                     **kwargs):
-            calls.append((_name, np.array(m)))
+            if within is None or depth:
+                calls.append((_name, np.array(m)))
             return _solve(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -994,18 +1007,6 @@ class TestRejectionWork:
     tested before any eigensolve, and a pencil constant is certified only
     when it is about to be accepted."""
 
-    def count_eigensolves(self, monkeypatch):
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            solve = getattr(np.linalg, name)
-
-            def counted(*args, _name=name, _solve=solve, **kwargs):
-                calls.append(_name)
-                return _solve(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
-        return calls
-
     def count_certificates(self, monkeypatch, modules, raises=False):
         """Calls of ``_certify_psd_scale`` through each of ``modules``."""
         calls = []
@@ -1029,7 +1030,7 @@ class TestRejectionWork:
     def test_inadmissible_constants_need_no_eigensolve(self, monkeypatch, theorem,
                                                        spoiler, dim):
         inst = build_instance(theorem, GenSpec(7, dim, spoiler))
-        calls = self.count_eigensolves(monkeypatch)
+        calls = record_eigensolves(monkeypatch)
         with pytest.raises(AdmissibilityFailed):
             check_instance(inst)
         assert calls == []
@@ -1076,30 +1077,14 @@ class TestEigensolveBudget:
     def solves_in_hypothesis(self, monkeypatch, run):
         """The np.linalg calls that ``run()`` makes inside _check_hypothesis,
         counted by name, and what ``run()`` returned or raised."""
-        calls, depth = [], []
-        check = framekit.theorems._check_hypothesis
-
-        def spied(*args, **kwargs):
-            depth.append(1)
-            try:
-                return check(*args, **kwargs)
-            finally:
-                depth.pop()
-
-        monkeypatch.setattr(framekit.theorems, "_check_hypothesis", spied)
-        for name in ("eigh", "eigvalsh", "svd"):
-            def counted(*args, _name=name, _solve=getattr(np.linalg, name),
-                        **kwargs):
-                if depth:
-                    calls.append(_name)
-                return _solve(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        names = ("eigh", "eigvalsh", "svd")
+        calls = record_eigensolves(monkeypatch, names, within="_check_hypothesis")
         try:
             outcome = run()
         except HypothesisFailed as exc:
             outcome = exc
-        return {name: calls.count(name) for name in ("eigh", "eigvalsh", "svd")}, outcome
+        solved = [name for name, _ in calls]
+        return {name: solved.count(name) for name in names}, outcome
 
     def check_counted(self, monkeypatch, inst):
         try:
@@ -1173,29 +1158,3 @@ class TestEigensolveBudget:
         assert type(outcome) is HypothesisFailed
         assert outcome.residual == pytest.approx(0.2, rel=1e-12)  # at f = e1
         assert solves == {"eigh": 14, "eigvalsh": 2, "svd": 5}
-
-    @pytest.mark.parametrize("c", np.geomspace(1e-6, 1e6, 12))
-    def test_identity_spectrum_is_eighs_bit_for_bit(self, c):
-        for n in range(1, 33):
-            q = c * c * np.eye(n, dtype=np.complex128)
-            exact, closed = hermitian_eig(q), _form_eig(q)
-            for a, b in ((exact.eigenvalues, closed.eigenvalues),
-                         (exact.eigenvectors, closed.eigenvectors)):
-                assert a.dtype == b.dtype and np.array_equal(a, b), (c, n)
-
-    def test_thm47_c_term_is_not_decomposed(self, monkeypatch):
-        inst = build_instance("thm4.7", GenSpec(7, 10, "shifted_synthesis"))
-        merged = []
-        form_eig = framekit.theorems._form_eig
-
-        def spied(q):
-            merged.append(q)
-            return form_eig(q)
-
-        monkeypatch.setattr(framekit.theorems, "_form_eig", spied)
-        solved = record_eigensolves(monkeypatch)
-        assert check_instance(inst).passed
-        (q2,) = merged
-        c = inst.constants.c
-        assert np.array_equal(q2, c * c * np.eye(10))
-        assert solves_of(solved, q2) == []
