@@ -236,6 +236,18 @@ def gen_operator_pair(rng, dim: int, scenario: str, complex_scalars: bool
     raise InvalidConfig(f"operator pair scenario {scenario!r} unknown")
 
 
+def _sweep_circle() -> np.ndarray:
+    """The unit vectors (cos phi, sin phi), phi at every SWEEP_STEP of the
+    circle, as the columns of a read-only array."""
+    phi = np.arange(0.0, 2.0 * math.pi, SWEEP_STEP)
+    circle = np.vstack([np.cos(phi), np.sin(phi)])
+    circle.setflags(write=False)
+    return circle
+
+
+_SWEEP_CIRCLE = _sweep_circle()
+
+
 def _sweep_max(values: np.ndarray) -> float:
     return float(values.max()) * SWEEP_INFLATION
 
@@ -248,8 +260,7 @@ def _rotation_certificates(theta: float) -> tuple[float, float]:
     """
     c, s = math.cos(theta), math.sin(theta)
     d = np.array([[1.0 - c * c, -c * s], [-c * s, -s * s]])
-    phi = np.arange(0.0, 2.0 * math.pi, SWEEP_STEP)
-    f = np.vstack([np.cos(phi), np.sin(phi)])
+    f = _SWEEP_CIRCLE
     df = d @ f
     norm_cert = _sweep_max(np.sqrt(np.einsum("ij,ij->j", df, df)))
     quad_cert = _sweep_max(np.abs(np.einsum("ij,ij->j", f, df)))

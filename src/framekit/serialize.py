@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Mapping
 
 import numpy as np
@@ -42,6 +42,37 @@ __all__ = [
 ]
 
 
+def _float_rows(rows) -> str | None:
+    """``_emit`` of equal-width rows of floats, or of [float, float] pairs,
+    in one ``%.17g`` format of the whole matrix; None for any other list.
+
+    Only the float type itself qualifies: ints, bools, NumPy scalars and
+    ragged or empty rows take the per-value rule.  The per-value exceptions
+    are kept: -0.0 becomes +0.0 (x + 0.0 is x for every other x), so it
+    prints "0", and a non-finite value, the only kind whose text has an "n",
+    sends the whole list to the per-value rule.
+    """
+    if not rows or set(map(type, rows)) != {list}:
+        return None
+    width = len(rows[0])
+    if not width or set(map(len, rows)) != {width}:
+        return None
+    values = list(chain.from_iterable(rows))
+    cell = "%.17g"
+    if type(values[0]) is list:
+        if set(map(type, values)) != {list} or set(map(len, values)) != {2}:
+            return None
+        values = list(chain.from_iterable(values))
+        cell = "[%.17g,%.17g]"
+    if set(map(type, values)) != {float}:
+        return None
+    if 0.0 in values:
+        values = [x + 0.0 for x in values]
+    row = "[" + ",".join([cell] * width) + "]"
+    text = ("[" + ",".join([row] * len(rows)) + "]") % tuple(values)
+    return None if "n" in text else text
+
+
 def _emit(obj) -> str:
     if obj is None:
         return "null"
@@ -61,6 +92,9 @@ def _emit(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=True)
     if isinstance(obj, (list, tuple)):
+        text = _float_rows(obj)
+        if text is not None:
+            return text
         return "[" + ",".join(_emit(v) for v in obj) + "]"
     if isinstance(obj, Mapping):
         return "{" + ",".join(
@@ -74,18 +108,14 @@ def dumps(obj) -> str:
     return _emit(obj) + "\n"
 
 
-def _entry_to_obj(value: complex, complex_scalars: bool):
-    if complex_scalars:
-        return [float(value.real), float(value.imag)]
-    return float(value.real)
-
-
 def _matrix_to_obj(m: np.ndarray, complex_scalars: bool) -> list:
-    if not complex_scalars and m.size and float(np.abs(m.imag).max()) > 0.0:
+    if complex_scalars:
+        # rows of [re, im] pairs: the float64 view of the C-ordered array
+        m = np.ascontiguousarray(m, dtype=np.complex128)
+        return m.view(np.float64).reshape(*m.shape, 2).tolist()
+    if m.size and float(np.abs(m.imag).max()) > 0.0:
         raise InvalidConfig("real instance carries complex matrix entries")
-    return [
-        [_entry_to_obj(v, complex_scalars) for v in row] for row in m.tolist()
-    ]
+    return m.real.tolist()
 
 
 def _family_to_obj(fam: WeightedSubspaceFamily, complex_scalars: bool) -> list:
@@ -184,21 +214,31 @@ def _bulk_matrix(obj: list, complex_scalars: bool,
     width = len(obj[0]) if cols is None else cols
     if not width or set(map(len, obj)) != {width}:
         return None
-    entries = chain.from_iterable(obj)
-    if complex_scalars:
-        pairs = list(entries)
-        if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+    if not complex_scalars:
+        if not set(map(type, chain.from_iterable(obj))) <= {int, float}:
             return None
-        entries = chain.from_iterable(pairs)
-    if not set(map(type, entries)) <= {int, float}:
+        try:
+            return np.array(obj, dtype=np.float64).astype(np.complex128)
+        except OverflowError:
+            return None
+    pairs = list(chain.from_iterable(obj))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    # one flat list: NumPy converts it several times faster than the pairs
+    parts = list(chain.from_iterable(pairs))
+    if not set(map(type, parts)) <= {int, float}:
         return None
     try:
-        values = np.array(obj, dtype=np.float64)
+        values = np.array(parts, dtype=np.float64)
     except OverflowError:
         return None
-    if complex_scalars:
-        return values.view(np.complex128)[..., 0]
-    return values.astype(np.complex128)
+    return values.view(np.complex128).reshape(len(obj), width)
+
+
+def _in_range(values: np.ndarray) -> bool:
+    # NaN fails the comparison too, so every refused value takes the
+    # per-entry path for its message
+    return bool((np.abs(values.view(np.float64)) <= MAX_ENTRY).all())
 
 
 def _matrix_from(obj, complex_scalars: bool, path: str,
@@ -206,9 +246,7 @@ def _matrix_from(obj, complex_scalars: bool, path: str,
     if not isinstance(obj, list) or not obj:
         raise _fail(path, "expected a non-empty list of rows")
     fast = _bulk_matrix(obj, complex_scalars, cols)
-    # NaN fails the comparison too, so every refused entry takes the
-    # per-entry path for its message
-    if fast is not None and (np.abs(fast.view(np.float64)) <= MAX_ENTRY).all():
+    if fast is not None and _in_range(fast):
         return fast
     rows = []
     width = None
@@ -257,24 +295,55 @@ def _members(decoded: list, dim: int, path: str) -> list:
     return members
 
 
+def _bulk_members(obj: list, dim: int, complex_scalars: bool) -> list | None:
+    """(basis, weight) per member from one conversion of a well-formed
+    member list, or None.
+
+    The bases' rows are concatenated and converted by one ``_bulk_matrix``
+    call at width ``dim``, the weights by one array, and the bases split
+    again by row count.  None sends the caller to the per-member decoder,
+    which yields the path of the first offending member; a basis with more
+    vectors than ``dim`` passes here and is named by ``_members``.
+    """
+    if set(map(type, obj)) != {dict}:
+        return None
+    bases = [entry.get("basis") for entry in obj]
+    weights = [entry.get("weight") for entry in obj]
+    if (set(map(type, bases)) != {list} or not all(bases)
+            or not set(map(type, weights)) <= {int, float}):
+        return None
+    values = _bulk_matrix(list(chain.from_iterable(bases)), complex_scalars, dim)
+    try:
+        weight_values = np.array(weights, dtype=np.float64)
+    except OverflowError:
+        return None
+    if values is None or not (_in_range(values) and _in_range(weight_values)):
+        return None
+    ends = list(accumulate(map(len, bases)))
+    return [(values[start:end].T, weight) for start, end, weight
+            in zip([0] + ends, ends, weight_values.tolist())]
+
+
 def _family_from(obj, dim: int, complex_scalars: bool,
                  path: str) -> WeightedSubspaceFamily:
     if not isinstance(obj, list) or not obj:
         raise _fail(path, "expected a non-empty member list")
-    decoded = []
+    decoded = _bulk_members(obj, dim, complex_scalars)
     failure = None
-    for i, entry in enumerate(obj):
-        try:
-            if not isinstance(entry, dict):
-                raise _fail(f"{path}[{i}]", "expected an object")
-            weight = _num_from(entry.get("weight"), False,
-                               f"{path}[{i}].weight").real
-            vectors = _matrix_from(entry.get("basis"), complex_scalars,
-                                   f"{path}[{i}].basis", cols=dim)
-        except InvalidConfig as exc:
-            failure = exc
-            break
-        decoded.append((vectors.T, weight))
+    if decoded is None:
+        decoded = []
+        for i, entry in enumerate(obj):
+            try:
+                if not isinstance(entry, dict):
+                    raise _fail(f"{path}[{i}]", "expected an object")
+                weight = _num_from(entry.get("weight"), False,
+                                   f"{path}[{i}].weight").real
+                vectors = _matrix_from(entry.get("basis"), complex_scalars,
+                                       f"{path}[{i}].basis", cols=dim)
+            except InvalidConfig as exc:
+                failure = exc
+                break
+            decoded.append((vectors.T, weight))
     # the members before a malformed one are tested first, so the first
     # error in member order is the one raised
     members = _members(decoded, dim, path)

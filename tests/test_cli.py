@@ -149,6 +149,24 @@ class TestCheck:
         assert (report["predicted"]["upper"] < report["actual"]["upper"]
                 <= report["notes"]["cauchy_schwarz_upper"])
 
+    def test_target_without_a_k_lower_bound_exits_two(self, tmp_path, capsys):
+        # thm4.4.1 on W = V = {(e1, 1), (e2, 1e-6)} with K = I: range_inclusion
+        # calls I included in range(S_V), but the K-lower bound is 0, so the
+        # bounds are in order and the target is rejected by name, not exit 1
+        e = np.eye(2, dtype=np.complex128)
+        family = WeightedSubspaceFamily(
+            2, ((Subspace(2, e[:, :1]), 1.0), (Subspace(2, e[:, 1:]), 1e-6)))
+        inst = Instance(
+            dim=2, scalar="real", family=family, family_v=family,
+            operators={"K": e}, constants=PerturbationConstants(0.0, 0.0),
+            meta={"theorem": "thm4.4.1", "seed": 0, "scenario": "tiny_weight"})
+        path = tmp_path / "inst.json"
+        path.write_text(dumps_instance(inst))
+        assert main(["check", str(path)]) == 2
+        assert ("status=hypothesis_failed detail=HypothesisFailed: the target "
+                "family is not a K-fusion frame for the given operator"
+                ) in capsys.readouterr().out
+
     def test_undecided_hypothesis_exits_two(self, tmp_path, capsys):
         # three nonzero constants: true here, but past what the merged
         # level-set certificate proves, and no witness refutes it

@@ -275,6 +275,55 @@ def row_lists(draw):
     return obj, cx, width, mutation
 
 
+SPECIAL_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3.0, 1e300, -1e300,
+    math.inf, -math.inf, math.nan])
+EMIT_CELLS = st.one_of(
+    st.integers(-(10**30), 10**30), st.booleans(),
+    st.floats().map(np.float64), st.none(),
+)
+
+
+@st.composite
+def emitted_rows(draw):
+    """Rows of floats or [float, float] pairs, possibly with a cell of
+    another kind, a ragged or empty row, or a pair of length 1 or 3; and
+    whether the rows are all finite floats that the bulk format takes."""
+    cx = draw(st.booleans())
+    n_rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    finite = draw(st.booleans())
+    number = (st.floats(allow_nan=False, allow_infinity=False) if finite
+              else st.one_of(st.floats(), SPECIAL_FLOATS))
+
+    def cell():
+        return [draw(number), draw(number)] if cx else draw(number)
+
+    rows = [[cell() for _ in range(width)] for _ in range(n_rows)]
+    mutation = draw(st.sampled_from(
+        ("none", "none", "cell", "ragged", "empty", "pair_length")))
+    i, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, width - 1))
+    if mutation == "cell":
+        if cx and draw(st.booleans()):
+            rows[i][j][draw(st.integers(0, 1))] = draw(EMIT_CELLS)
+        else:
+            rows[i][j] = draw(EMIT_CELLS)
+    elif mutation == "ragged":
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + [cell()]
+    elif mutation == "empty":
+        rows = [[] for _ in rows] if draw(st.booleans()) else []
+    elif mutation == "pair_length" and cx:
+        rows[i][j] = rows[i][j][:1] if draw(st.booleans()) else rows[i][j] + [0.5]
+    return rows, mutation == "none" and finite
+
+
+def emitted(rows):
+    """_emit's text for ``rows``, or the error it raises."""
+    try:
+        return serialize._emit(rows)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 def per_entry_only():
     """Turn the bulk path off, leaving the per-entry decoder."""
     return mock.patch.object(serialize, "_bulk_matrix", return_value=None)
@@ -326,6 +375,109 @@ class TestBulkDecoding:
             with per_entry_only():
                 slow = instance_arrays(loads_instance(text))
             assert list(map(fingerprint, fast)) == list(map(fingerprint, slow))
+
+    @staticmethod
+    def members_doc(cx):
+        """Members in dimension 4: the axis e0, the plane (e1, e2) and the
+        axis e3, the last with an integer weight."""
+        rows = np.eye(4).tolist()
+        if cx:
+            rows = [[[x, 0.0] for x in row] for row in rows]
+        return [{"weight": 1.0, "basis": [rows[0]]},
+                {"weight": 0.5, "basis": rows[1:3]},
+                {"weight": 2, "basis": [rows[3]]}]
+
+    @staticmethod
+    def family_decoded(members, cx):
+        """What _family_from makes of a member list: each basis's bytes,
+        its read-only flag and its weight, or the error."""
+        try:
+            family = serialize._family_from(members, 4, cx, "members")
+        except InvalidConfig as exc:
+            return type(exc), str(exc)
+        return [(fingerprint(s.basis), s.basis.flags.writeable, w)
+                for s, w in family.members]
+
+    @staticmethod
+    def skew(row):
+        return [[2.0 * x for x in v] if isinstance(v, list) else 2.0 * v
+                for v in row]
+
+    FAMILY_MUTATIONS = {
+        "none": lambda m: None,
+        "bool_weight": lambda m: m[1].update(weight=True),
+        "string_weight": lambda m: m[1].update(weight="0.5"),
+        "null_weight": lambda m: m[1].update(weight=None),
+        "huge_int_weight": lambda m: m[1].update(weight=10**400),
+        "overflowing_weight": lambda m: m[1].update(weight=json.loads("1e400")),
+        "nan_weight": lambda m: m[1].update(weight=math.nan),
+        "zero_weight": lambda m: m[1].update(weight=0),
+        "negative_weight": lambda m: m[1].update(weight=-0.5),
+        "not_an_object": lambda m: m.__setitem__(1, m[1]["basis"]),
+        "no_basis": lambda m: m[1].pop("basis"),
+        "empty_basis": lambda m: m[1].update(basis=[]),
+        "more_vectors_than_dim": lambda m: m[1].update(
+            basis=m[1]["basis"] + m[0]["basis"] + m[2]["basis"] + m[1]["basis"][:1]),
+        "rows_wider_than_dim": lambda m: [row.append(row[0]) for row in m[1]["basis"]],
+        "skew_before_a_good_one": lambda m: m[0].update(
+            basis=[TestBulkDecoding.skew(m[0]["basis"][0])]),
+        "skew_after_a_good_one": lambda m: m[2].update(
+            basis=[TestBulkDecoding.skew(m[2]["basis"][0])]),
+    }
+
+    @pytest.mark.parametrize("cx", [False, True])
+    @pytest.mark.parametrize("mutation", list(FAMILY_MUTATIONS))
+    def test_family_path_agrees_with_the_per_member_decoder(self, cx, mutation):
+        members = self.members_doc(cx)
+        self.FAMILY_MUTATIONS[mutation](members)
+        fast = self.family_decoded(members, cx)
+        with mock.patch.object(serialize, "_bulk_members", return_value=None):
+            assert fast == self.family_decoded(members, cx)
+        # the faults left to _members and the family's constructor pass here
+        bulk = mutation in ("none", "more_vectors_than_dim", "zero_weight",
+                            "negative_weight") or mutation.startswith("skew")
+        assert (serialize._bulk_members(members, 4, cx) is not None) == bulk
+
+    def test_a_well_formed_family_is_one_conversion(self):
+        for cx in (False, True):
+            with mock.patch.object(serialize, "_bulk_matrix",
+                                   wraps=serialize._bulk_matrix) as bulk:
+                serialize._family_from(self.members_doc(cx), 4, cx, "members")
+            assert bulk.call_count == 1
+
+
+def emit_calls(inst):
+    with mock.patch.object(serialize, "_emit", wraps=serialize._emit) as emit:
+        dumps_instance(inst)
+    return emit.call_count
+
+
+class TestBulkEmission:
+    def test_matrix_size_adds_no_emit_calls(self):
+        # two members, each half the axes, and K = I: a matrix is one call
+        def halves(dim):
+            e = np.eye(dim, dtype=np.complex128)
+            family = WeightedSubspaceFamily(dim, (
+                (Subspace(dim, e[:, :dim // 2]), 1.0),
+                (Subspace(dim, e[:, dim // 2:]), 2.0)))
+            return Instance(dim=dim, scalar="complex", family=family,
+                            operators={"K": e},
+                            meta={"theorem": "thm3.1", "seed": 1})
+        assert emit_calls(halves(32)) == emit_calls(halves(2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=emitted_rows())
+    def test_agrees_with_the_per_value_emitter(self, case):
+        rows, bulk = case
+        fast = emitted(rows)
+        with mock.patch.object(serialize, "_float_rows", return_value=None):
+            assert fast == emitted(rows)
+        if bulk:
+            assert serialize._float_rows(rows) is not None
+
+    def test_negative_zero_prints_as_zero(self):
+        assert dumps([[-0.0, 0.0], [1.0, -0.5]]) == "[[0,0],[1,-0.5]]\n"
+        assert dumps([[[-0.0, -0.0]]]) == "[[[0,0]]]\n"
 
 
 class TestReportEmission:

@@ -922,6 +922,26 @@ class TestTwoTermHypothesis:
             assert type(err.value) is HypothesisFailed
             assert err.value.residual > 1e-9
 
+    @pytest.mark.parametrize("x, terms, holds", [
+        # ||0.5 f|| <= |f_1| + ||f||: L's top vector lies in ker Q1
+        (0.5 * np.eye(3), [(1.0, np.eye(3)[:, :1]), (1.0, np.eye(3))], True),
+        # ||diag(.5, .5, 0) f|| <= |f_1| + |f_2|: it lies in ker Q1 or ker Q2
+        (np.diag([0.5, 0.5, 0.0]),
+         [(1.0, np.eye(3)[:, :1]), (1.0, np.eye(3)[:, 1:2])], True),
+        # ||2 f|| <= |f_1| + ||f|| fails at f = e2
+        (2.0 * np.eye(3), [(1.0, np.eye(3)[:, :1]), (1.0, np.eye(3))], False),
+    ], ids=["half_identity", "coordinate_plane", "double_identity"])
+    def test_a_top_vector_in_a_kernel_starts_inside(self, x, terms, holds):
+        # the start s = y1/(y1 + y2) would be 0 or 1, where M(s) is singular
+        # to working precision and the pencil calls L leaking
+        if holds:
+            assert self.decide(x, terms) <= 0.0
+            return
+        with pytest.raises(HypothesisFailed) as err:
+            self.decide(x, terms)
+        assert type(err.value) is HypothesisFailed
+        assert err.value.residual == pytest.approx(1.0, rel=1e-12)
+
     @pytest.mark.parametrize("scale", [1e-60, 1e-30, 1.0, 1e30, 1e60])
     def test_a_scaled_false_hypothesis_is_never_certified(self, scale):
         # constants 3% under the least that holds, at scales far from one:
@@ -1149,7 +1169,9 @@ class TestEigensolveBudget:
     def test_two_term_end_pencils_build_no_kernel_witness(self, monkeypatch):
         # Q1 = .09 e1 e1* and Q2 = .09 e2 e2* share the kernel e3, so each
         # end pencil has a kernel of its own; it reads only its ratio, so it
-        # skips the kernel witness, one 1x1 eigh each
+        # skips the kernel witness, one 1x1 eigh each.  L's top vector lies in
+        # ker Q1, so the level set starts at s = 1/2 and runs one round, one
+        # stacked eigvalsh of P at its one midpoint, before the witness
         e = np.eye(3, dtype=np.complex128)
         left = np.diag([0.5, 0.5, 0.0]).astype(np.complex128)
         solves, outcome = self.solves_in_hypothesis(
@@ -1157,4 +1179,4 @@ class TestEigensolveBudget:
                 left, [(0.3, e[:, :1]), (0.3, e[:, 1:2])], 1e-9, "clause"))
         assert type(outcome) is HypothesisFailed
         assert outcome.residual == pytest.approx(0.2, rel=1e-12)  # at f = e1
-        assert solves == {"eigh": 14, "eigvalsh": 2, "svd": 5}
+        assert solves == {"eigh": 14, "eigvalsh": 3, "svd": 5}
