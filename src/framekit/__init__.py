@@ -2,129 +2,6 @@
 
 Core objects: weighted subspace families, their synthesis and frame
 operators, operator-relative optimal bounds, and checkers that verify
-bound-transfer statements against independently computed optima.
+bound-transfer statements against independently computed optima.  The
+modules are the Python API; the package root exports nothing.
 """
-
-from .errors import (
-    AdmissibilityFailed,
-    DimensionMismatch,
-    FramekitError,
-    HypothesisFailed,
-    HypothesisUndecided,
-    IllConditionedSplit,
-    InvalidConfig,
-    NonFinite,
-    NotHermitian,
-    NotPSD,
-    NotSquare,
-    OracleMismatch,
-    ZeroDrazin,
-)
-from .frame_core import (
-    FrameBounds,
-    WeightedSubspaceFamily,
-    fusion_bounds,
-    fusion_synthesis_matrix,
-)
-from .instances import (
-    GenSpec,
-    Instance,
-    PerturbedPair,
-    THEOREM_IDS,
-    build_instance,
-    check_instance,
-    default_suite_entries,
-    gen_operator,
-    gen_operator_pair,
-    gen_perturbed_pair,
-    spanning_family,
-    spoiler_suite_entries,
-)
-from .kfusion import (
-    k_bounds,
-    k_lower_bound,
-    k_operator,
-)
-from .numerics import (
-    Subspace,
-    drazin,
-    hermitian_eig,
-    max_psd_scale,
-    one_blas_thread,
-    operator_norm,
-    pinv,
-    projector,
-    range_basis,
-)
-from .theorems import (
-    PerturbationConstants,
-    TheoremReport,
-    check_drazin,
-    check_erasure,
-    check_image_under_k,
-    check_operator_perturbation,
-    check_projection_k_star,
-    check_projection_plain,
-    check_projection_zero,
-    check_quadratic_perturbation,
-    check_synthesis_closed_range,
-    check_synthesis_perturbation,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AdmissibilityFailed",
-    "DimensionMismatch",
-    "FrameBounds",
-    "FramekitError",
-    "GenSpec",
-    "HypothesisFailed",
-    "HypothesisUndecided",
-    "IllConditionedSplit",
-    "Instance",
-    "InvalidConfig",
-    "NonFinite",
-    "NotHermitian",
-    "NotPSD",
-    "NotSquare",
-    "OracleMismatch",
-    "PerturbationConstants",
-    "PerturbedPair",
-    "Subspace",
-    "THEOREM_IDS",
-    "TheoremReport",
-    "WeightedSubspaceFamily",
-    "ZeroDrazin",
-    "build_instance",
-    "check_drazin",
-    "check_erasure",
-    "check_image_under_k",
-    "check_instance",
-    "check_operator_perturbation",
-    "check_projection_k_star",
-    "check_projection_plain",
-    "check_projection_zero",
-    "check_quadratic_perturbation",
-    "check_synthesis_closed_range",
-    "check_synthesis_perturbation",
-    "default_suite_entries",
-    "drazin",
-    "fusion_bounds",
-    "fusion_synthesis_matrix",
-    "gen_operator",
-    "gen_operator_pair",
-    "gen_perturbed_pair",
-    "hermitian_eig",
-    "k_bounds",
-    "k_lower_bound",
-    "k_operator",
-    "max_psd_scale",
-    "one_blas_thread",
-    "operator_norm",
-    "pinv",
-    "projector",
-    "range_basis",
-    "spanning_family",
-    "spoiler_suite_entries",
-]

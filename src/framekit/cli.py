@@ -16,7 +16,7 @@ import argparse
 import csv
 import functools
 import io
-import math
+import json
 import sys
 import time
 from collections import Counter
@@ -28,6 +28,8 @@ from ._rng import child_seed
 from .errors import FramekitError, HypothesisFailed, InvalidConfig
 from .instances import (
     REGISTRY,
+    SUITE_BASE_SEED,
+    SUITE_N_PER_THEOREM,
     THEOREM_IDS,
     GenSpec,
     Instance,
@@ -37,7 +39,7 @@ from .instances import (
     spoiler_suite_entries,
 )
 from .serialize import SUITE_FORMAT, dumps, dumps_instance, loads_instance, report_to_obj
-from .theorems import TheoremReport
+from .theorems import DEFAULT_TOL, TheoremReport
 
 __all__ = ["main"]
 
@@ -67,7 +69,7 @@ def _build_parser() -> _Parser:
 
     check = sub.add_parser("check", help="verify instance files")
     check.add_argument("files", nargs="+", metavar="FILE")
-    check.add_argument("--tol", type=float, default=1e-9)
+    check.add_argument("--tol", type=float, default=DEFAULT_TOL)
     check.add_argument("--format", choices=("json", "csv"), default="json")
     check.add_argument("--out", default=None, help="write reports to this path")
 
@@ -128,11 +130,7 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return "%.17g" % value
+        return "%.17g" % value  # also "nan", "inf" and "-inf"
     return str(value)
 
 
@@ -188,6 +186,8 @@ def _evaluate(inst: Instance, tol: float,
         if expect == "hypothesis_failed":
             outcome = "fail"
             row["detail"] = "expected a hypothesis rejection, none was raised"
+        elif not report.passed:
+            row["detail"] = _failed_bracket(report)
         row.update({
             "status": outcome,
             "predicted_lower": report.predicted.lower,
@@ -199,6 +199,16 @@ def _evaluate(inst: Instance, tol: float,
         })
     row["wall_time_s"] = time.perf_counter() - started
     return row, report
+
+
+def _failed_bracket(report: TheoremReport) -> str | None:
+    """``bracket out of order: <id> <side> margin <margin>`` for the first
+    bracket out of order, the report's own before its parts', lower first."""
+    for part in (report, *report.parts):
+        for side, margin in (("lower", part.lower_margin), ("upper", part.upper_margin)):
+            if not margin >= 0.0:  # NaN too
+                return f"bracket out of order: {part.theorem_id} {side} margin {margin:+.6e}"
+    return None
 
 
 def _exit_code(rows) -> int:
@@ -250,26 +260,27 @@ def _cmd_check(args) -> int:
     return _exit_code(rows)
 
 
+_SUITE_CONFIG_KEYS = ("n_per_theorem", "base_seed", "tol", "threads", "include_spoilers")
+
+
 def _load_suite_config(path: str | None) -> dict:
     if path is None:
         return {}
-    import json
-
     try:
         obj = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise InvalidConfig(f"{path}: suite config must be a JSON object")
-    allowed = {"n_per_theorem", "base_seed", "tol", "threads", "include_spoilers"}
-    unknown = set(obj) - allowed
+    unknown = set(obj) - set(_SUITE_CONFIG_KEYS)
     if unknown:
         raise InvalidConfig(f"{path}: unknown keys {sorted(unknown)}")
     for key in ("n_per_theorem", "base_seed", "threads"):
         if key in obj and (not isinstance(obj[key], int)
                            or isinstance(obj[key], bool)):
             raise InvalidConfig(f"{path}: {key} must be an integer")
-    _valid_tol(obj.get("tol", 1e-9), path)
+    if "tol" in obj:
+        _valid_tol(obj["tol"], path)
     if not isinstance(obj.get("include_spoilers", False), bool):
         raise InvalidConfig(f"{path}: include_spoilers must be true or false")
     return obj
@@ -277,14 +288,12 @@ def _load_suite_config(path: str | None) -> dict:
 
 def _cmd_suite(args) -> int:
     config = _load_suite_config(args.config)
-    n_per = args.n_per_theorem if args.n_per_theorem is not None else int(
-        config.get("n_per_theorem", 20)
-    )
-    base_seed = args.seed if args.seed is not None else int(
-        config.get("base_seed", 20260814)
-    )
+    n_per = (args.n_per_theorem if args.n_per_theorem is not None
+             else config.get("n_per_theorem", SUITE_N_PER_THEOREM))
+    base_seed = (args.seed if args.seed is not None
+                 else config.get("base_seed", SUITE_BASE_SEED))
     tol = (_valid_tol(args.tol, "--tol") if args.tol is not None
-           else float(config.get("tol", 1e-9)))
+           else float(config.get("tol", DEFAULT_TOL)))
     spoilers = args.spoilers or bool(config.get("include_spoilers", False))
     if n_per < 1:
         raise InvalidConfig("n_per_theorem must be at least 1")

@@ -115,7 +115,7 @@ def fusion_bounds(family: WeightedSubspaceFamily) -> FrameBounds:
     w = family.fusion_eig.eigenvalues
     lo, hi = max(float(w[0]), 0.0), max(float(w[-1]), 0.0)
     assert lo <= hi * (1.0 + 1e-12)
-    return FrameBounds(lo, hi, "optimal")
+    return FrameBounds(lo, hi)
 
 
 def fusion_synthesis_matrix(family: WeightedSubspaceFamily) -> np.ndarray:

@@ -22,6 +22,7 @@ from .frame_core import WeightedSubspaceFamily, fusion_bounds
 from .kfusion import k_lower_bound
 from .numerics import Subspace, one_blas_thread, operator_norm, pinv, projector
 from .theorems import (
+    DEFAULT_TOL,
     PerturbationConstants,
     TheoremReport,
     check_drazin,
@@ -47,6 +48,8 @@ __all__ = [
     "Instance",
     "PerturbedPair",
     "REGISTRY",
+    "SUITE_BASE_SEED",
+    "SUITE_N_PER_THEOREM",
     "THEOREM_IDS",
     "TheoremEntry",
     "build_instance",
@@ -369,8 +372,7 @@ def _gen_drazin(spec: GenSpec, rng) -> dict:
     n = spec.dim
     fam = spanning_family(rng, n, cx)
     if spec.scenario == "drazin_core":
-        index = int(spec.params.get("index", 1 + spec.seed % 3))
-        index = max(1, min(index, n - 1))
+        index = min(1 + spec.seed % 3, n - 1)
         k = gen_operator(rng, n, "drazin_index", cx, index=index)
     else:
         # the other scenarios, invertible and nilpotent, are operator kinds
@@ -679,7 +681,7 @@ def build_instance(theorem_id: str, spec: GenSpec) -> Instance:
     return Instance(**fields, meta=meta)
 
 
-def check_instance(inst: Instance, tol: float = 1e-9) -> TheoremReport:
+def check_instance(inst: Instance, tol: float = DEFAULT_TOL) -> TheoremReport:
     """Run the checker of the instance's theorem.
 
     ``meta.theorem`` must be a registered id: the decoder refuses any
@@ -691,11 +693,15 @@ def check_instance(inst: Instance, tol: float = 1e-9) -> TheoremReport:
         return entry.check(inst, tol)
 
 
+# the default size and seed of `framekit suite`, and the seed of its spoilers
+SUITE_N_PER_THEOREM = 20
+SUITE_BASE_SEED = 20260814
+_SPOILER_SEED = 918273645
 _SUITE_DIMS = (2, 3, 4, 5, 6, 8, 10, 12, 16)
 
 
-def default_suite_entries(n_per_theorem: int = 20,
-                          base_seed: int = 20260814) -> tuple[Instance, ...]:
+def default_suite_entries(n_per_theorem: int = SUITE_N_PER_THEOREM,
+                          base_seed: int = SUITE_BASE_SEED) -> tuple[Instance, ...]:
     """The standard regression sweep: every theorem, mixed dims and scalars."""
     out = []
     for t_index, (tid, entry) in enumerate(REGISTRY.items()):
@@ -708,11 +714,11 @@ def default_suite_entries(n_per_theorem: int = 20,
     return tuple(out)
 
 
-def spoiler_suite_entries(base_seed: int = 918273645) -> tuple[Instance, ...]:
+def spoiler_suite_entries() -> tuple[Instance, ...]:
     """One deliberately broken instance per theorem; all must be rejected."""
     out = []
     for t_index, (tid, entry) in enumerate(REGISTRY.items()):
-        seed = child_seed(base_seed, t_index)
+        seed = child_seed(_SPOILER_SEED, t_index)
         dim = _SUITE_DIMS[t_index % len(_SUITE_DIMS)]
         out.append(build_instance(tid, GenSpec(seed, dim, entry.spoiler)))
     return tuple(out)

@@ -48,5 +48,4 @@ def k_lower_bound(family: WeightedSubspaceFamily, k) -> float:
 def k_bounds(family: WeightedSubspaceFamily, k) -> FrameBounds:
     """The optimal pair: the K-relative lower bound and the family's upper
     frame bound."""
-    return FrameBounds(k_lower_bound(family, k), fusion_bounds(family).upper,
-                       "optimal")
+    return FrameBounds(k_lower_bound(family, k), fusion_bounds(family).upper)

@@ -303,11 +303,10 @@ class Subspace:
         return cls._of(ambient_dim, np.zeros((ambient_dim, 0), dtype=np.complex128))
 
 
-def range_basis(m, rank_tol: float = RANK_TOL, *,
-                scale: float | None = None) -> Subspace:
+def range_basis(m, *, scale: float | None = None) -> Subspace:
     """Orthonormal basis of the numerical column space of ``m``.
 
-    Singular values at or below ``rank_tol * scale`` are dropped, ``scale``
+    Singular values at or below ``RANK_TOL * scale`` are dropped, ``scale``
     defaulting to the largest singular value of ``m``.  Pass an operator's
     norm to judge the rank of an operator-image against the operator, so
     that the image of an annihilated subspace stays trivial.
@@ -320,7 +319,7 @@ def range_basis(m, rank_tol: float = RANK_TOL, *,
         if s.size == 0 or s[0] <= 0.0:
             return Subspace.zero(m.shape[0])
         scale = s[0]
-    keep = s > rank_tol * scale
+    keep = s > RANK_TOL * scale
     return Subspace._of(m.shape[0], u[:, keep])
 
 
@@ -330,8 +329,9 @@ def projector(w: Subspace) -> np.ndarray:
 
 
 def range_inclusion(s, t) -> tuple[bool, float]:
-    """Whether range(S) <= range(T), to 1e-10 max(1, ||S||), and the
-    residual ||S - T T^+ S|| that decides it."""
+    """Whether range(S) <= range(T), to 1e-10 ||S||, and the residual
+    ||S - T T^+ S|| that decides it.  The floor scales with S, so a
+    tiny S that leaves range(T) is not included."""
     s = as_matrix(s)
     t = as_matrix(t)
     if s.shape[0] != t.shape[0]:
@@ -339,7 +339,7 @@ def range_inclusion(s, t) -> tuple[bool, float]:
             f"row counts differ: {s.shape[0]} vs {t.shape[0]}"
         )
     residual = operator_norm(s - (t @ pinv(t)) @ s)
-    return residual <= 1e-10 * max(1.0, operator_norm(s)), residual
+    return residual <= 1e-10 * operator_norm(s), residual
 
 
 def _require_psd(w: np.ndarray, name: str) -> None:

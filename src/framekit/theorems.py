@@ -167,9 +167,7 @@ def _require_k_fusion(family: WeightedSubspaceFamily, k: np.ndarray,
 
 def _div(num: float, den: float) -> float:
     """num / den with the vacuous-sentinel conventions (inf/x, x/0)."""
-    if math.isinf(num):
-        return math.inf
-    if den == 0.0:
+    if math.isinf(num) or den == 0.0:
         return math.inf
     return num / den
 
@@ -304,7 +302,7 @@ def _compressed_pencil(reduced: WeightedSubspaceFamily,
     """Optimal bounds of the reduced family relative to K on range(K)."""
     q = range_basis(k)
     if q.dim == 0:
-        return FrameBounds(math.inf, 0.0, "optimal")
+        return FrameBounds(math.inf, 0.0)
     qb = q.basis
     s_red = reduced.fusion_operator
     gram = hermitian_part(k @ k.conj().T)
@@ -312,7 +310,7 @@ def _compressed_pencil(reduced: WeightedSubspaceFamily,
     g_c = hermitian_part(qb.conj().T @ gram @ qb)
     s_eig = hermitian_eig(s_c)
     return FrameBounds(max_psd_scale(s_c, g_c, sw_eig=s_eig),
-                       max(float(s_eig.eigenvalues[-1]), 0.0), "optimal")
+                       max(float(s_eig.eigenvalues[-1]), 0.0))
 
 
 def check_erasure(family: WeightedSubspaceFamily, k, erased: Sequence[int],
@@ -356,12 +354,25 @@ def _side_form(side: Side) -> np.ndarray:
     return hermitian_part(side @ side.conj().T)
 
 
+def _side_factor(side: Side) -> np.ndarray:
+    """The factor X of a side: for a family, its synthesis matrix T."""
+    return fusion_synthesis_matrix(side) if isinstance(side, WeightedSubspaceFamily) else side
+
+
 def _side_norms(side: Side, cols: np.ndarray) -> np.ndarray:
-    """||X* f|| for each column f; a family stands for its synthesis matrix
-    T, with ||T* f||^2 = <f, S_W f>."""
-    if isinstance(side, WeightedSubspaceFamily):
-        side = fusion_synthesis_matrix(side)
-    return _col_norms(side.conj().T @ cols)
+    """||X* f|| for each column f, X the side's factor."""
+    return _col_norms(_side_factor(side).conj().T @ cols)
+
+
+def _residual_bound(left: np.ndarray, c: float, side: Side) -> float:
+    """A bound on ||X* f|| - c ||Y* f|| at every unit f, read from the
+    factors X = ``left`` and Y of ``side``: with Z = lstsq(Y, X) and E =
+    Y Z - X, X* f = Z* Y* f - E* f, so it is (||Z|| - c)_+ ||Y|| + ||E||.
+    E holds the part of X that leaves range(Y)."""
+    y = _side_factor(side)
+    z = np.linalg.lstsq(y, left, rcond=None)[0]
+    return (max(operator_norm(z) - c, 0.0) * operator_norm(y)
+            + operator_norm(y @ z - left))
 
 
 def _refute(left: np.ndarray, active: Sequence[tuple[float, Side]],
@@ -391,6 +402,8 @@ def _one_term_hypothesis(left: np.ndarray, left_form: np.ndarray,
     not accepted goes to the pencil's witness whether or not its
     certificate holds.  So lambda_max(L) is read by the certificate and,
     when R is zero or has a kernel, by the pencil, and by nothing else.
+    A refused certificate tries _residual_bound, read from the factors, not
+    the forms, before the witness: at most ``tol`` accepts.
     """
     right = _side_form(side)
     right_eig = (side.fusion_eig if isinstance(side, WeightedSubspaceFamily)
@@ -408,7 +421,9 @@ def _one_term_hypothesis(left: np.ndarray, left_form: np.ndarray,
                                        max(abs(w[0]), abs(w[-1])), left_max())
                 return bound
             except OracleMismatch:
-                pass  # no certified constant: only a witness can decide
+                bound = _residual_bound(left, c, side)
+                if bound <= tol:
+                    return bound
     _refute(left, [(c, side)], tops, tol, clause)
 
 

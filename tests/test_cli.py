@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,13 +142,23 @@ class TestCheck:
         path, out = tmp_path / "inst.json", tmp_path / "report.json"
         path.write_text(dumps_instance(inst))
         assert main(["check", str(path), "--out", str(out)]) == 1
-        assert "status=fail" in capsys.readouterr().out
+        assert re.search(r"status=fail detail=bracket out of order: prop4\.5 upper "
+                         r"margin -3\.55\d{4}e-01\n", capsys.readouterr().out)
         (report,) = json.loads(out.read_text())
         assert report["passed"] is False
         assert report["lower_margin"] >= 0.0
         assert report["upper_margin"] == pytest.approx(-0.355, abs=1e-3)
         assert (report["predicted"]["upper"] < report["actual"]["upper"]
                 <= report["notes"]["cauchy_schwarz_upper"])
+
+    def test_a_failed_part_is_named(self):
+        report = check_instance(build_instance("lem4.1", GenSpec(0, 3, "scale_down")))
+        (part,) = report.parts
+        assert framekit.cli._failed_bracket(report) is None
+        failed = dataclasses.replace(report, passed=False, parts=(
+            dataclasses.replace(part, passed=False, lower_margin=-0.25),))
+        assert framekit.cli._failed_bracket(failed) == (
+            "bracket out of order: lem4.1:reverse lower margin -2.500000e-01")
 
     def test_target_without_a_k_lower_bound_exits_two(self, tmp_path, capsys):
         # thm4.4.1 on W = V = {(e1, 1), (e2, 1e-6)} with K = I: range_inclusion
@@ -837,3 +848,36 @@ class TestFuzz:
             # through fails its row as well
             counts = json.loads(out.read_text())["counts"]
             assert counts["fail"] > 0 and counts["hypothesis_failed"] == 0
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_table_column(header: str) -> list[str]:
+    """The first cell of each row of the README table under ``header``,
+    without its backticks."""
+    lines = README.read_text().splitlines()
+    cells = []
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            break
+        cells.append(line.strip("|").split("|")[0].strip().strip("`"))
+    return cells
+
+
+class TestReadmeContract:
+    """The README states the config keys, the suite-row fields and the exit
+    codes that the code has."""
+
+    def test_config_keys(self):
+        assert readme_table_column("| config key | flag | value |") == list(
+            framekit.cli._SUITE_CONFIG_KEYS)
+
+    def test_suite_row_fields(self):
+        text = " ".join(README.read_text().split())
+        fields = re.search(r"one row per instance, with the fields (.*?) in this order",
+                           text).group(1)
+        assert tuple(re.findall(r"`([^`]+)`", fields)) == framekit.cli._CSV_COLUMNS[:-1]
+
+    def test_exit_codes(self):
+        assert readme_table_column("| code | meaning |") == ["0", "1", "2", "3"]

@@ -1,9 +1,10 @@
 """Guards against dead code: every module-level import in the package and
 in its tests is referenced by the module that makes it, or exported in its
 __all__, every private module-level name of the package (a `_x`
-function, class or constant) is referenced somewhere in the package, and
+function, class or constant) is referenced somewhere in the package,
 every public name of a module is reached by the package itself, not only
-through its re-export for the tests."""
+by the tests, and the package root binds no name: the modules are the
+API."""
 
 import ast
 from pathlib import Path
@@ -111,13 +112,11 @@ def public_names(tree: ast.Module) -> list[str]:
 
 def unreached(sources: dict[str, str]) -> list[str]:
     """``module:name`` for each ``__all__`` name of a module of ``sources``
-    that no module but ``__init__.py`` loads, reads as an attribute or
-    imports: a name only re-exported is one only the tests reach."""
+    that no module loads, reads as an attribute or imports: a name that
+    only the tests reach."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    referenced = referenced_names(tree for module, tree in trees.items()
-                                  if module != "__init__.py")
+    referenced = referenced_names(trees.values())
     return [f"{module}:{name}" for module, tree in trees.items()
-            if module != "__init__.py"
             for name in public_names(tree) if name not in referenced]
 
 
@@ -128,7 +127,6 @@ def test_every_public_name_is_reached():
 
 def test_the_guard_sees_an_unreached_public_name():
     sources = {
-        "__init__.py": "from .a import shown, spare\n__all__ = ['shown', 'spare']\n",
         "a.py": "__all__ = ['shown', 'spare', 'LIMIT', 'used']\nLIMIT = 1\n"
                 "def shown():\n    return LIMIT\ndef spare():\n    pass\n"
                 "def used():\n    pass\n",
@@ -139,7 +137,7 @@ def test_the_guard_sees_an_unreached_public_name():
 
 def test_oracles_import_no_checker():
     # the tests' oracles check the checkers, so they may not call them:
-    # no framekit.theorems, framekit.instances or the re-exporting package
+    # no framekit.theorems or framekit.instances
     tree = ast.parse((TESTS / "oracles.py").read_text())
     modules = {node.module for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom)}
@@ -190,3 +188,24 @@ def test_the_guard_sees_a_private_import():
     }
     assert private_imports(sources) == [
         "a.py:_closed", "b.py:_rng", "b.py:_helper", "b.py:_late"]
+
+
+def root_bindings(source: str) -> list[str]:
+    """Every statement of a package root but its docstring, by line: each
+    imports, assigns or defines a name."""
+    body = ast.parse(source).body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    return [f"line {node.lineno}" for node in body]
+
+
+def test_the_package_root_binds_no_name():
+    # `from framekit import X` re-exported names no caller used; every
+    # caller imports the module that defines X
+    assert root_bindings((PACKAGE / "__init__.py").read_text()) == []
+
+
+def test_the_guard_sees_a_root_binding():
+    source = '"""Docs."""\nfrom .a import b\n__version__ = "1"\n'
+    assert root_bindings(source) == ["line 2", "line 3"]
+    assert root_bindings('"""Docs only."""\n') == []

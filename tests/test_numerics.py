@@ -31,6 +31,7 @@ from framekit.numerics import (
     projector,
     quadratic_forms,
     range_basis,
+    range_inclusion,
 )
 from oracles import douglas_check, from_span, psd_scale_bisection
 
@@ -463,8 +464,18 @@ class TestSubspace:
         assert range_basis(tiny, scale=1.0).dim == 0
         assert range_basis(np.eye(3), scale=0.0).dim == 0
         assert range_basis(np.zeros((3, 0)), scale=1.0).dim == 0
-        u = range_basis(np.diag([2.0, 1e-3, 0.0]), 1e-2, scale=0.5)
-        assert u.dim == 1
+        # 1e-10 is kept against 0.5 but dropped against its own scale 2
+        assert range_basis(np.diag([2.0, 1e-10, 0.0]), scale=0.5).dim == 2
+        assert range_basis(np.diag([2.0, 1e-10, 0.0])).dim == 1
+
+    @pytest.mark.parametrize("s, included, residual", [
+        (np.array([[0.0], [1e-11]]), False, 1e-11),  # wholly outside span e1
+        (np.zeros((2, 1)), True, 0.0),
+    ])
+    def test_range_inclusion_floor_scales_with_s(self, s, included, residual):
+        # an absolute floor of 1e-10 called any S of norm below it included
+        e1 = np.eye(2)[:, :1]
+        assert range_inclusion(s, e1) == (included, pytest.approx(residual, rel=1e-12))
 
     def test_rejects_skewed_basis(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from test_instances import fresh_probe
 from test_suite_bytes import near_miss
 
@@ -41,6 +41,7 @@ from framekit.theorems import (
     PerturbationConstants,
     _check_hypothesis,
     _member_diffs,
+    _residual_bound,
     _side_norms,
     check_drazin,
     check_erasure,
@@ -813,6 +814,16 @@ class TestExactHypothesis:
                 _check_hypothesis(x, [(c, y)], 1e-9, "clause")
             assert err.value.residual == pytest.approx(s * delta, rel=1e-3)
 
+    @pytest.mark.parametrize("rank", [3, 6])  # deficient and full
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 1.5])
+    def test_residual_bound_covers_every_probed_violation(self, rank, factor):
+        # X leaves range(Y) when Y is rank-deficient; the bound holds anyway
+        rng = make_rng(rank)
+        x, y = gaussian_matrix(rng, 6, 4, True), gaussian_matrix(rng, 6, rank, True)
+        probe = fresh_probe(rank, 6).T
+        probed = float((_side_norms(x, probe) - factor * _side_norms(y, probe)).max())
+        assert probed <= _residual_bound(x, factor, y)
+
     @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -822,6 +833,12 @@ class TestExactHypothesis:
         left_inside=st.booleans(),
         factor=st.sampled_from([0.0, 0.5, 0.9, 0.999, 1.0, 1.001, 1.1, 2.0]),
     )
+    # true by 0.1%, with cond(R) 1.4e9 and 3.7e7: the forms certificate
+    # refuses both constants, and the residual certificate accepts them
+    @example(seed=842221, dim=15, complex_scalars=False, right_rank="full",
+             left_inside=True, factor=1.001)
+    @example(seed=9978891, dim=27, complex_scalars=False, right_rank="full",
+             left_inside=True, factor=1.001)
     def test_exact_rule_agrees_with_a_dense_probe(self, seed, dim, complex_scalars,
                                                   right_rank, left_inside, factor):
         rng = make_rng(seed)
@@ -1072,9 +1089,14 @@ class TestRejectionWork:
 
     def test_refused_certificate_falls_back_to_witness_then_undecided(self,
                                                                       monkeypatch):
-        # the hypothesis holds, so the witness cannot refute it either
+        inst = build_instance("lem4.1", GenSpec(1001, 8, "additive"))
         calls = self.count_certificates(monkeypatch, (framekit.theorems,),
                                         raises=True)
+        # a refused forms certificate alone: the residual certificate accepts
+        assert check_instance(inst).passed
+        # both refused: the hypothesis holds, so the witness cannot refute it
+        monkeypatch.setattr(framekit.theorems, "_residual_bound",
+                            lambda *args: math.inf)
         reached = []
         refute = framekit.theorems._refute
 
@@ -1084,8 +1106,8 @@ class TestRejectionWork:
 
         monkeypatch.setattr(framekit.theorems, "_refute", spied)
         with pytest.raises(HypothesisUndecided):
-            check_instance(build_instance("lem4.1", GenSpec(1001, 8, "additive")))
-        assert len(calls) == 1
+            check_instance(inst)
+        assert len(calls) == 2
         assert reached == [1]
 
 
